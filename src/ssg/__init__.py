@@ -16,7 +16,6 @@ from .dichotomy import (
     dichotomy_solve,
     fixed_point_f,
     make_stopping,
-    precision_schedule,
     sink_denominator_lcm,
     solve_feedback,
     stern_brocot,
@@ -31,7 +30,6 @@ from .evaluation import (
     best_response_min,
     check_local_optimality,
     check_stopping,
-    confinement_set,
     evaluate,
     greedy_strategies,
     one_step_value,
@@ -41,10 +39,8 @@ from .gamefile import parse, serialize
 from .generate import Family, GeneratorSpec, generate
 from .iteration import (
     HKTrace,
-    SwitchPolicy,
     all_open_strategy,
     hoffman_karp,
-    switch,
     switchable,
 )
 from .model import (
@@ -57,7 +53,6 @@ from .model import (
     as_fraction,
     game_of,
     merge_sink_neighbors,
-    restrict,
     validate,
     vertex_to_sink,
 )
@@ -77,7 +72,6 @@ from .structure import (
     component_game,
     feedback_vertex_set,
     is_feedback_set,
-    scc_subgames,
     strongly_connected_components,
 )
 

@@ -36,18 +36,6 @@ from .solvers import (
 )
 from .structure import analyze, feedback_vertex_set
 
-ALGORITHMS = (
-    "auto",
-    "oracle",
-    "hk",
-    "acyclic",
-    "max_acyclic",
-    "almost_acyclic",
-    "fork_fpt",
-    "dichotomy",
-    "feedback",
-)
-
 FORK_WEIGHT_LIMIT = 10
 FEEDBACK_SIZE_LIMIT = 3
 
@@ -89,46 +77,50 @@ def choose_algorithm(game: Game) -> str:
     return "hk"
 
 
+def _hk(game: Game):
+    trace = hoffman_karp(game)
+    return trace.values, trace.iterations, None
+
+
+def _dichotomy(game: Game):
+    cover = feedback_vertex_set(game, 1)
+    if cover is None:
+        raise PreconditionError("dichotomy needs a single vertex covering every cycle")
+    counter = _Counting(solve_acyclic)
+    values = dichotomy_solve(game, cover[0], counter) if cover else counter(game)
+    return values, None, counter.calls
+
+
+def _feedback(game: Game):
+    counter = _Counting(solve_acyclic)
+    values = solve_feedback(game, feedback_vertex_set(game), counter)
+    return values, None, counter.calls
+
+
+# Name -> solver returning (values, iterations, subsolver calls).  Entries
+# look their solvers up when called, so rebinding a module global (as
+# tracing does) reaches every solve.
+SOLVERS = {
+    "acyclic": lambda game: (solve_acyclic(game), None, None),
+    "almost_acyclic": lambda game: (solve_by_scc(game, solve_almost_acyclic_scc), None, None),
+    "max_acyclic": lambda game: (solve_by_scc(game, solve_max_acyclic_scc), None, None),
+    "fork_fpt": lambda game: (solve_fork_fpt(game), None, None),
+    "dichotomy": _dichotomy,
+    "feedback": _feedback,
+    "hk": _hk,
+    "oracle": lambda game: (oracle_solve(game).values, None, None),
+}
+ALGORITHMS = ("auto", *SOLVERS)
+
+
 def run_algorithm(game: Game, name: str) -> RunReport:
     """Solve with the named algorithm and time it."""
     started = time.perf_counter()
-    iterations: int | None = None
-    calls: int | None = None
     if name == "auto":
         name = choose_algorithm(game)
-    if name == "oracle":
-        values = oracle_solve(game).values
-    elif name == "hk":
-        trace = hoffman_karp(game)
-        values = trace.values
-        iterations = trace.iterations
-    elif name == "acyclic":
-        values = solve_acyclic(game)
-    elif name == "max_acyclic":
-        values = solve_by_scc(game, solve_max_acyclic_scc)
-    elif name == "almost_acyclic":
-        values = solve_by_scc(game, solve_almost_acyclic_scc)
-    elif name == "fork_fpt":
-        values = solve_fork_fpt(game)
-    elif name == "dichotomy":
-        cover = feedback_vertex_set(game, 1)
-        if cover is None:
-            raise PreconditionError(
-                "dichotomy needs a single vertex covering every cycle"
-            )
-        counter = _Counting(solve_acyclic)
-        if cover:
-            values = dichotomy_solve(game, cover[0], counter)
-        else:
-            values = counter(game)
-        calls = counter.calls
-    elif name == "feedback":
-        cover = feedback_vertex_set(game)
-        counter = _Counting(solve_acyclic)
-        values = solve_feedback(game, cover, counter)
-        calls = counter.calls
-    else:
+    if name not in SOLVERS:
         raise PreconditionError(f"unknown algorithm {name!r}")
+    values, iterations, calls = SOLVERS[name](game)
     seconds = time.perf_counter() - started
     return RunReport(name, values, iterations, calls, seconds)
 
@@ -149,9 +141,8 @@ def solve_command(args: argparse.Namespace) -> int:
     try:
         report = run_algorithm(game, requested)
     except NotStoppingError as exc:
-        raise NotStoppingError(
-            f"{exc} (rerun with --make-stopping to solve a nearby stopping game)"
-        ) from None
+        exc.args = (f"{exc} (rerun with --make-stopping to solve a nearby stopping game)",)
+        raise
     chosen = report.algorithm + (" (auto)" if requested == "auto" else "")
     print(f"algorithm: {chosen}")
     print(
@@ -234,7 +225,7 @@ def bench_command(args: argparse.Namespace) -> int:
         f"{'iters':>7} {'calls':>7} {'time_s':>10} {'status':>8}"
     )
     print(header)
-    rows: list[str] = []
+    errors = 0
     instance = 0
     for size in args.sizes:
         for rep in range(args.reps):
@@ -255,20 +246,23 @@ def bench_command(args: argparse.Namespace) -> int:
                     secs = f"{run.seconds:.4f}"
                 except PreconditionError:
                     status, iters, calls, secs = "refused", "", "", ""
+                except InternalInvariantError as exc:
+                    print(f"internal invariant violated: {exc}", file=sys.stderr)
+                    status, iters, calls, secs = "error", "", "", ""
+                    errors += 1
                 print(
                     f"{solver:>15} {size:>8} {game.n_max:>6} {game.n_ave:>6} "
                     f"{iters!s:>7} {calls!s:>7} {secs:>10} {status:>8}"
                 )
-                rows.append(
+                print(
                     f"#row solver={solver} n={size} n_max={game.n_max} "
                     f"n_ave={game.n_ave} seed={spec.seed} "
                     f"iterations={iters} subsolver_calls={calls} "
-                    f"time_s={secs} status={status}"
+                    f"time_s={secs} status={status}",
+                    flush=True,
                 )
             instance += 1
-    for row in rows:
-        print(row)
-    return 0
+    return 3 if errors else 0
 
 
 def _proportions(text: str) -> tuple[float, float, float, float]:

@@ -17,8 +17,8 @@ import math
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .errors import InternalInvariantError, NotStoppingError, PreconditionError
-from .evaluation import check_local_optimality, check_stopping, one_step_value
+from .errors import InternalInvariantError, PreconditionError
+from .evaluation import check_local_optimality, one_step_value, require_stopping
 from .model import Game, RationalLike, ValueVector, VertexKind, as_fraction, vertex_to_sink
 from .solvers import solve_acyclic
 from .structure import is_feedback_set
@@ -32,11 +32,13 @@ def sink_denominator_lcm(game: Game) -> int:
 
 
 def value_denominator_bound(game: Game) -> int:
-    """An integer that every optimal value's denominator divides into.
+    """An upper bound on the denominator of every optimal value.
 
     Optimal values are reached by some positional strategy pair, and
     evaluating a fixed pair keeps denominators within 6 to the power of
-    half the AVE count, times the sinks' common denominator.
+    half the AVE count, times the sinks' common denominator.  The bound
+    limits the size of a denominator, not its divisors: a value of 7/16
+    occurs under a bound of 24.
     """
     return 6 ** ((game.n_ave + 1) // 2) * sink_denominator_lcm(game)
 
@@ -66,12 +68,7 @@ def dichotomy_solve(
     candidate of denominator at most bound, and the candidate is
     verified to be a fixed point before the values are returned.
     """
-    stopping = check_stopping(game)
-    if not stopping.stopping:
-        raise NotStoppingError(
-            "game is not stopping; play can be confined to "
-            f"{sorted(stopping.witness)}"
-        )
+    require_stopping(game)
     if game.is_sink(x):
         raise PreconditionError(f"vertex {x} is a sink")
     return _dichotomy_core(game, x, subsolver)
@@ -166,12 +163,7 @@ def solve_feedback(
             raise PreconditionError(f"feedback vertex {x} is not a playable vertex")
     if not is_feedback_set(game, xs):
         raise PreconditionError("a cycle avoids the proposed feedback set")
-    stopping = check_stopping(game)
-    if not stopping.stopping:
-        raise NotStoppingError(
-            "game is not stopping; play can be confined to "
-            f"{sorted(stopping.witness)}"
-        )
+    require_stopping(game)
     return _feedback_level(game, xs, subsolver)
 
 
@@ -189,9 +181,10 @@ def make_stopping(game: Game, m: int | None = None) -> Game:
     Every arc between playable vertices is routed through a fresh coin
     chain of length m that continues with probability one half per step
     and drops to a value-0 sink after m straight continues.  Original
-    optimal values change by at most n / 2^m; the default m makes that
-    smaller than the gap between any two candidate values, at the cost
-    of a much bigger game.
+    optimal values shift by an amount nothing here bounds; n / 2^m is
+    not a bound, since AVE-heavy games exceed it several times over.
+    The default m, 2n plus the bit length of the sinks' common
+    denominator, is a heuristic, paid for with a much bigger game.
     """
     if m is None:
         q0 = sink_denominator_lcm(game)
@@ -230,19 +223,3 @@ def make_stopping(game: Game, m: int | None = None) -> Game:
         tuple(kinds), tuple(tuple(s) for s in succs), tuple(values)
     )
 
-
-def precision_schedule(n_ave: int, q0: int, levels: int) -> tuple[int, ...]:
-    """Denominator bounds for nested bisection levels, outermost first.
-
-    Level i must pin values whose denominators reflect i+1 rounds of
-    squaring: p_i = 6^((2^(i+1) - 1) * n_ave) * q0, so each level obeys
-    p_next = p_i^2 * 6^n_ave / q0.  Useful for sizing worst-case work;
-    the solver itself re-derives tighter bounds per level.
-    """
-    if n_ave < 0 or q0 < 1 or levels < 0:
-        raise PreconditionError("schedule parameters out of range")
-    schedule = [6 ** ((2 ** (i + 1) - 1) * n_ave) * q0 for i in range(levels)]
-    for i in range(levels - 1):
-        if schedule[i + 1] * q0 != schedule[i] ** 2 * 6**n_ave:
-            raise InternalInvariantError("schedule recurrence failed")
-    return tuple(schedule)

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     InternalInvariantError,
     InvalidStrategyError,
+    NotStoppingError,
     PreconditionError,
 )
 from .model import (
@@ -27,6 +28,7 @@ from .model import (
     StrategyPair,
     ValueVector,
     VertexKind,
+    argbest,
     check_strategy,
 )
 
@@ -34,15 +36,13 @@ ZERO = Fraction(0)
 HALF = Fraction(1, 2)
 
 
-def _require_total(game: Game, sigma: Strategy, tau: Strategy) -> None:
-    if sigma.owner is not Player.MAX or tau.owner is not Player.MIN:
-        raise InvalidStrategyError("evaluate expects (MAX strategy, MIN strategy)")
-    check_strategy(game, sigma)
-    check_strategy(game, tau)
-    if not sigma.is_total_for(game):
-        raise InvalidStrategyError("MAX strategy does not cover every MAX vertex")
-    if not tau.is_total_for(game):
-        raise InvalidStrategyError("MIN strategy does not cover every MIN vertex")
+def _require_total(game: Game, *strategies: Strategy) -> None:
+    for strategy in strategies:
+        check_strategy(game, strategy)
+    for strategy in strategies:
+        if not strategy.is_total_for(game):
+            who = strategy.owner.value.upper()
+            raise InvalidStrategyError(f"{who} strategy does not cover every {who} vertex")
 
 
 def _chosen(game: Game, sigma: Strategy, tau: Strategy, v: int) -> int:
@@ -51,42 +51,54 @@ def _chosen(game: Game, sigma: Strategy, tau: Strategy, v: int) -> int:
     return tau[v]
 
 
+def attractor(
+    arcs: Sequence[Sequence[int]], need: Sequence[int], seeds: Iterable[int]
+) -> list[bool]:
+    """Backward fixpoint: the seeds, plus every vertex v of which need[v]
+    arcs point into the set.
+
+    arcs[v] lists the successors of v; a successor listed twice counts
+    twice, and an arc from a vertex to itself never pulls it in.
+    Returns membership of each vertex.
+    """
+    n = len(arcs)
+    preds: list[list[int]] = [[] for _ in range(n)]
+    for v, out in enumerate(arcs):
+        for s in out:
+            preds[s].append(v)
+    missing = list(need)
+    inside = [False] * n
+    stack = list(seeds)
+    for v in stack:
+        inside[v] = True
+    while stack:
+        u = stack.pop()
+        for p in preds[u]:
+            if not inside[p]:
+                missing[p] -= 1
+                if missing[p] == 0:
+                    inside[p] = True
+                    stack.append(p)
+    return inside
+
+
 def zero_set(game: Game, sigma: Strategy, tau: Strategy) -> frozenset[int]:
     """Vertices of value exactly zero under the fixed pair.
 
     A vertex has value zero iff, in the chain induced by the pair, it
-    cannot reach a positive-value sink.  Computed as a removal fixpoint
-    on the complement: start from everything except positive sinks, drop
-    an AVE vertex once either successor has been dropped and a
-    positional vertex once its chosen successor has been dropped.
+    cannot reach a positive-value sink: it lies outside the attractor
+    of the positive sinks over the arcs the pair uses.
     """
+    if sigma.owner is not Player.MAX or tau.owner is not Player.MIN:
+        raise InvalidStrategyError("evaluate expects (MAX strategy, MIN strategy)")
     _require_total(game, sigma, tau)
-    in_z = [True] * game.n
-    stack = []
-    for v in game.sink_vertices:
-        if game.sink_value(v) > 0:
-            in_z[v] = False
-            stack.append(v)
-
-    # Reverse adjacency of the arcs the pair actually uses.
-    preds: list[list[int]] = [[] for _ in range(game.n)]
-    for v in range(game.n):
-        kind = game.kinds[v]
-        if kind is VertexKind.SINK:
-            continue
-        if kind is VertexKind.AVE:
-            for s in game.succs[v]:
-                preds[s].append(v)
-        else:
-            preds[_chosen(game, sigma, tau, v)].append(v)
-
-    while stack:
-        u = stack.pop()
-        for p in preds[u]:
-            if in_z[p]:
-                in_z[p] = False
-                stack.append(p)
-    return frozenset(v for v in range(game.n) if in_z[v])
+    arcs = [
+        (_chosen(game, sigma, tau, v),) if game.is_positional(v) else game.succs[v]
+        for v in range(game.n)
+    ]
+    positive = [v for v in game.sink_vertices if game.sink_value(v) > 0]
+    reaches = attractor(arcs, [1] * game.n, positive)
+    return frozenset(v for v in range(game.n) if not reaches[v])
 
 
 def solve_linear_system(
@@ -277,14 +289,8 @@ def greedy_strategies(game: Game, w: ValueVector) -> StrategyPair:
         raise PreconditionError(
             f"value vector violates local optimality at {len(report.violations)} vertices"
         )
-    sigma = {}
-    for v in game.max_vertices:
-        best = max(w[s] for s in game.succs[v])
-        sigma[v] = min(s for s in game.succs[v] if w[s] == best)
-    tau = {}
-    for v in game.min_vertices:
-        best = min(w[s] for s in game.succs[v])
-        tau[v] = min(s for s in game.succs[v] if w[s] == best)
+    sigma = {v: argbest(VertexKind.MAX, game.succs[v], w) for v in game.max_vertices}
+    tau = {v: argbest(VertexKind.MIN, game.succs[v], w) for v in game.min_vertices}
     return StrategyPair(Strategy(Player.MAX, sigma), Strategy(Player.MIN, tau))
 
 
@@ -296,47 +302,17 @@ def _min_zero_region(game: Game, sigma: Strategy) -> frozenset[int]:
     MIN members have at least one successor inside.  From such a set
     MIN confines the play forever, so its value is 0; outside it every
     MIN strategy leaks to a positive sink with positive probability.
+    The complement is the attractor of the positive sinks in which MIN
+    joins only once all its arcs lead in.
     """
-    n = game.n
-    in_z = [True] * n
-    stack = []
-    for v in game.sink_vertices:
-        if game.sink_value(v) > 0:
-            in_z[v] = False
-            stack.append(v)
-
-    preds: list[list[int]] = [[] for _ in range(n)]
-    out_count = [0] * n
-    for v in range(n):
-        kind = game.kinds[v]
-        if kind is VertexKind.SINK:
-            continue
-        if kind is VertexKind.MAX:
-            targets = [sigma[v]]
-        else:
-            targets = list(game.succs[v])
-        for s in targets:
-            preds[s].append(v)
-        out_count[v] = len(targets)
-
-    # MIN survives while it still has one arc inside; AVE and forced
-    # MAX drop as soon as any of their arcs leaves.
-    remaining = out_count[:]
-    while stack:
-        u = stack.pop()
-        for p in preds[u]:
-            if not in_z[p]:
-                continue
-            remaining[p] -= 1
-            kind = game.kinds[p]
-            if kind is VertexKind.MIN:
-                if remaining[p] == 0:
-                    in_z[p] = False
-                    stack.append(p)
-            else:
-                in_z[p] = False
-                stack.append(p)
-    return frozenset(v for v in range(n) if in_z[v])
+    arcs = [
+        (sigma[v],) if kind is VertexKind.MAX else game.succs[v]
+        for v, kind in enumerate(game.kinds)
+    ]
+    need = [len(out) if k is VertexKind.MIN else 1 for k, out in zip(game.kinds, arcs)]
+    positive = [v for v in game.sink_vertices if game.sink_value(v) > 0]
+    leaks = attractor(arcs, need, positive)
+    return frozenset(v for v in range(game.n) if not leaks[v])
 
 
 def _assert_monotone(
@@ -375,9 +351,7 @@ def best_response_min(game: Game, sigma: Strategy) -> BestResponse:
     each round, ties to the smallest successor id.  Each round strictly
     decreases the value vector, which bounds the number of rounds.
     """
-    check_strategy(game, sigma)
-    if not sigma.is_total_for(game):
-        raise InvalidStrategyError("MAX strategy does not cover every MAX vertex")
+    _require_total(game, sigma)
     zero_region = _min_zero_region(game, sigma)
     choice = {}
     for v in game.min_vertices:
@@ -391,9 +365,9 @@ def best_response_min(game: Game, sigma: Strategy) -> BestResponse:
     while True:
         switches = {}
         for v in free:
-            best_val = min(values[s] for s in game.succs[v])
-            if best_val < values[tau[v]]:
-                switches[v] = min(s for s in game.succs[v] if values[s] == best_val)
+            best = argbest(VertexKind.MIN, game.succs[v], values)
+            if values[best] < values[tau[v]]:
+                switches[v] = best
         if not switches:
             return BestResponse(tau, values)
         tau = tau.updated(switches)
@@ -411,53 +385,21 @@ def best_response_max(game: Game, tau: Strategy) -> BestResponse:
     already certifies optimality.  Each round strictly increases the
     value vector.
     """
-    check_strategy(game, tau)
-    if not tau.is_total_for(game):
-        raise InvalidStrategyError("MIN strategy does not cover every MIN vertex")
+    _require_total(game, tau)
     sigma = Strategy(Player.MAX, {v: min(game.succs[v]) for v in game.max_vertices})
     values = evaluate(game, sigma, tau)
     while True:
         switches = {}
         for v in game.max_vertices:
-            best_val = max(values[s] for s in game.succs[v])
-            if best_val > values[sigma[v]]:
-                switches[v] = min(s for s in game.succs[v] if values[s] == best_val)
+            best = argbest(VertexKind.MAX, game.succs[v], values)
+            if values[best] > values[sigma[v]]:
+                switches[v] = best
         if not switches:
             return BestResponse(sigma, values)
         sigma = sigma.updated(switches)
         new_values = evaluate(game, sigma, tau)
         _assert_monotone(values, new_values, sorted(switches), decreasing=False)
         values = new_values
-
-
-def confinement_set(game: Game) -> frozenset[int]:
-    """Largest sink-free vertex set some strategy pair never leaves.
-
-    Members satisfy: AVE vertices keep both successors in the set,
-    positional vertices keep at least one.  The set is empty exactly
-    when the game is stopping.
-    """
-    n = game.n
-    alive = [not game.is_sink(v) for v in range(n)]
-    preds: list[list[int]] = [[] for _ in range(n)]
-    remaining = [0] * n
-    for v in range(n):
-        if not alive[v]:
-            continue
-        for s in game.succs[v]:
-            preds[s].append(v)
-        remaining[v] = len(game.succs[v])
-    stack = [v for v in range(n) if not alive[v]]
-    while stack:
-        u = stack.pop()
-        for p in preds[u]:
-            if not alive[p]:
-                continue
-            remaining[p] -= 1
-            if game.kinds[p] is VertexKind.AVE or remaining[p] == 0:
-                alive[p] = False
-                stack.append(p)
-    return frozenset(v for v in range(n) if alive[v])
 
 
 class StoppingReport(NamedTuple):
@@ -469,7 +411,22 @@ def check_stopping(game: Game) -> StoppingReport:
     """Whether every strategy pair reaches a sink almost surely.
 
     The witness is the largest sink-free set some pair can confine the
-    play to; the game is stopping exactly when it is empty.
+    play to: AVE members keep both successors in the set, positional
+    members at least one.  It is the complement of the attractor of the
+    sinks in which AVE vertices join on one arc and positional vertices
+    on all of theirs.  The game is stopping exactly when it is empty.
     """
-    witness = confinement_set(game)
+    need = [1 if k is VertexKind.AVE else len(out) for k, out in zip(game.kinds, game.succs)]
+    escapes = attractor(game.succs, need, game.sink_vertices)
+    witness = frozenset(v for v in range(game.n) if not escapes[v])
     return StoppingReport(not witness, witness)
+
+
+def require_stopping(game: Game) -> None:
+    """Raise NotStoppingError unless every strategy pair stops."""
+    report = check_stopping(game)
+    if not report.stopping:
+        raise NotStoppingError(
+            "game is not stopping; play can be confined to "
+            f"{sorted(report.witness)}"
+        )

@@ -9,18 +9,13 @@ optimal.  Known as the Hoffman-Karp algorithm.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
-from .errors import InternalInvariantError, InvalidStrategyError, NotStoppingError
-from .evaluation import _assert_monotone, best_response_min, check_stopping
-from .model import Game, Player, Strategy, StrategyPair, ValueVector
+from . import evaluation
+from .errors import InternalInvariantError
+from .evaluation import _assert_monotone, best_response_min
+from .model import Game, Player, Strategy, StrategyPair, ValueVector, VertexKind, argbest
 from .oracle import strategy_count
-
-
-class SwitchPolicy(enum.Enum):
-    ALL = "all"
-    SINGLE = "single"
 
 
 def switchable(
@@ -34,38 +29,10 @@ def switchable(
     """
     found = []
     for v in game.max_vertices:
-        best = max(values[s] for s in game.succs[v])
-        if best > values[sigma[v]]:
-            found.append((v, min(s for s in game.succs[v] if values[s] == best)))
+        best = argbest(VertexKind.MAX, game.succs[v], values)
+        if values[best] > values[sigma[v]]:
+            found.append((v, best))
     return tuple(found)
-
-
-def switch(
-    sigma: Strategy,
-    switches,
-    *,
-    game: Game | None = None,
-    values: ValueVector | None = None,
-) -> Strategy:
-    """Redirect sigma at the given (vertex, successor) pairs.
-
-    When game and values are supplied, every pair must actually be
-    switchable (strictly better than the current choice); the strict
-    improvement argument only covers genuine switches.
-    """
-    switches = list(switches)
-    changes = dict(switches)
-    if len(changes) != len(switches):
-        raise InvalidStrategyError("conflicting switches for one vertex")
-    if game is not None:
-        for v, s in changes.items():
-            if s not in game.succs[v]:
-                raise InvalidStrategyError(f"{s} is not a successor of vertex {v}")
-            if values is not None and not values[s] > values[sigma[v]]:
-                raise InvalidStrategyError(
-                    f"vertex {v} is not switchable to {s} under the given values"
-                )
-    return sigma.updated(changes)
 
 
 def all_open_strategy(game: Game) -> Strategy:
@@ -79,8 +46,7 @@ def all_open_strategy(game: Game) -> Strategy:
     for v in game.max_vertices:
         sinks = [s for s in game.succs[v] if game.is_sink(s)]
         if sinks:
-            best = max(game.sink_value(s) for s in sinks)
-            choice[v] = min(s for s in sinks if game.sink_value(s) == best)
+            choice[v] = argbest(VertexKind.MAX, sinks, game.sink_values)
         else:
             choice[v] = min(game.succs[v])
     return Strategy(Player.MAX, choice)
@@ -111,25 +77,18 @@ class HKTrace:
 def hoffman_karp(
     game: Game,
     sigma0: Strategy | None = None,
-    policy: SwitchPolicy = SwitchPolicy.ALL,
     *,
     require_stopping: bool = True,
 ) -> HKTrace:
     """Solve a game by strategy iteration from sigma0.
 
-    Policy ALL switches every switchable vertex each round, SINGLE only
-    the smallest-id one.  sigma0 defaults to all_open_strategy.  The
-    public contract requires a stopping game; internal callers that can
-    certify optimality of a stalled strategy by other means pass
-    require_stopping=False.
+    Every switchable vertex switches each round.  sigma0 defaults to
+    all_open_strategy.  The public contract requires a stopping game;
+    internal callers that can certify optimality of a stalled strategy
+    by other means pass require_stopping=False.
     """
     if require_stopping:
-        report = check_stopping(game)
-        if not report.stopping:
-            raise NotStoppingError(
-                "game is not stopping; play can be confined to "
-                f"{sorted(report.witness)}"
-            )
+        evaluation.require_stopping(game)
     sigma = sigma0 if sigma0 is not None else all_open_strategy(game)
     cap = strategy_count(game, Player.MAX)
     history = [sigma]
@@ -139,9 +98,7 @@ def hoffman_karp(
         candidates = switchable(game, sigma, values)
         if not candidates:
             return HKTrace(iterations, tuple(history), (sigma, tau, values))
-        if policy is SwitchPolicy.SINGLE:
-            candidates = candidates[:1]
-        sigma = switch(sigma, candidates, game=game, values=values)
+        sigma = sigma.updated(dict(candidates))
         history.append(sigma)
         iterations += 1
         if iterations > cap:

@@ -73,12 +73,6 @@ class Game:
     def n(self) -> int:
         return len(self.kinds)
 
-    def kind(self, v: int) -> VertexKind:
-        return self.kinds[v]
-
-    def successors(self, v: int) -> tuple[int, ...]:
-        return self.succs[v]
-
     def is_sink(self, v: int) -> bool:
         return self.kinds[v] is VertexKind.SINK
 
@@ -267,18 +261,13 @@ def check_strategy(game: Game, strategy: Strategy) -> None:
             )
 
 
-def restrict(game: Game, strategy: Strategy) -> Game:
-    """Subgame where each vertex in the strategy's support keeps only
-    its chosen arc.  Vertices outside the support are untouched, so a
-    partial strategy produces a partial restriction.
+def argbest(kind: VertexKind, succs: Sequence[int], value: Sequence[Fraction]) -> int:
+    """The successor a MAX vertex (or, for any other kind, a MIN vertex)
+    picks under the given values; ties go to the smallest id.
     """
-    check_strategy(game, strategy)
-    if not strategy.choice:
-        return game
-    succs = list(game.succs)
-    for v in strategy.support:
-        succs[v] = (strategy.choice[v],)
-    return game.replace(succs=tuple(succs))
+    pick = max if kind is VertexKind.MAX else min
+    best = pick(value[s] for s in succs)
+    return min(s for s in succs if value[s] == best)
 
 
 def vertex_to_sink(game: Game, vertex: int, value: RationalLike) -> Game:
@@ -315,10 +304,7 @@ def merge_sink_neighbors(game: Game) -> Game:
         sink_targets = sorted({s for s in succs[v] if game.is_sink(s)})
         if len(sink_targets) < 2:
             continue
-        if game.kinds[v] is VertexKind.MAX:
-            best = max(sink_targets, key=lambda s: (game.sink_value(s), -s))
-        else:
-            best = min(sink_targets, key=lambda s: (game.sink_value(s), s))
+        best = argbest(game.kinds[v], sink_targets, game.sink_values)
         out: list[int] = []
         placed = False
         for s in succs[v]:

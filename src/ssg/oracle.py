@@ -40,7 +40,6 @@ def enumerate_strategies(game: Game, owner: Player):
 class OracleResult:
     values: ValueVector
     witness_pair: StrategyPair
-    minimax_equals_maximin: bool
 
 
 def oracle_solve(game: Game, cap: int = DEFAULT_CAP) -> OracleResult:
@@ -91,4 +90,4 @@ def oracle_solve(game: Game, cap: int = DEFAULT_CAP) -> OracleResult:
     )
     if best_tau is None:
         raise InternalInvariantError("no MIN strategy attains the value vector")
-    return OracleResult(maximin, StrategyPair(best_sigma, best_tau), True)
+    return OracleResult(maximin, StrategyPair(best_sigma, best_tau))

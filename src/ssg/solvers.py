@@ -16,16 +16,17 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InternalInvariantError, NotStoppingError, PreconditionError
+from .errors import InternalInvariantError, PreconditionError
 from .evaluation import (
     check_local_optimality,
     check_stopping,
     one_step_value,
+    require_stopping,
     solve_linear_system,
 )
 from .iteration import all_open_strategy, hoffman_karp
-from .model import Game, ValueVector, VertexKind, merge_sink_neighbors
-from .structure import StructureReport, analyze, component_game
+from .model import Game, ValueVector, VertexKind, argbest, merge_sink_neighbors
+from .structure import StructureReport, analyze, component_game, topological_order
 
 ZERO = Fraction(0)
 HALF = Fraction(1, 2)
@@ -37,26 +38,11 @@ def solve_acyclic(game: Game) -> ValueVector:
     Every vertex takes its one-step value over already-solved
     successors.  Refuses games with a sink-free cycle.
     """
-    n = game.n
-    indeg = [0] * n
-    nonsinks = [v for v in range(n) if not game.is_sink(v)]
-    for v in nonsinks:
-        for s in game.succs[v]:
-            if not game.is_sink(s):
-                indeg[s] += 1
-    queue = [v for v in nonsinks if indeg[v] == 0]
-    order = []
-    while queue:
-        v = queue.pop()
-        order.append(v)
-        for s in game.succs[v]:
-            if not game.is_sink(s):
-                indeg[s] -= 1
-                if indeg[s] == 0:
-                    queue.append(s)
-    if len(order) != len(nonsinks):
+    nonsinks = (v for v in range(game.n) if not game.is_sink(v))
+    order = topological_order(nonsinks, game.succs)
+    if order is None:
         raise PreconditionError("game has a sink-free cycle")
-    values: list[Fraction] = [ZERO] * n
+    values: list[Fraction] = [ZERO] * game.n
     for v in game.sink_vertices:
         values[v] = game.sink_value(v)
     for v in reversed(order):
@@ -98,19 +84,13 @@ def solve_by_scc(game: Game, component_solver) -> ValueVector:
     return vector
 
 
-def _cyclic_component_set(game: Game, report: StructureReport) -> frozenset[int]:
-    members = {x for x, _ in report.cycle_arcs}
-    members.update(y for _, y in report.cycle_arcs)
-    return frozenset(members)
-
-
 def _require_one_cycle_component(game: Game, report: StructureReport) -> frozenset[int]:
     """The preconditions shared by the strongly connected solvers.
 
     Every non-sink vertex must belong to a single cyclic component
     (frontier sinks aside); returns that component's vertex set.
     """
-    on_cycles = _cyclic_component_set(game, report)
+    on_cycles = {v for arc in report.cycle_arcs for v in arc}
     nonsinks = {v for v in range(game.n) if not game.is_sink(v)}
     if nonsinks != on_cycles:
         raise PreconditionError(
@@ -155,15 +135,6 @@ def _escape_targets(game: Game, report: StructureReport, v: int) -> list[int]:
     return sorted(set(game.succs[v]) - cyc)
 
 
-def _best_escape(game: Game, escapes: list[int], kind: VertexKind) -> int:
-    # escapes are sinks: real ones or solved frontier vertices
-    if kind is VertexKind.MAX:
-        best = max(game.sink_value(s) for s in escapes)
-    else:
-        best = min(game.sink_value(s) for s in escapes)
-    return min(s for s in escapes if game.sink_value(s) == best)
-
-
 def _with_succs(game: Game, v: int, succs: tuple[int, ...]) -> Game:
     new_succs = list(game.succs)
     new_succs[v] = succs
@@ -171,16 +142,9 @@ def _with_succs(game: Game, v: int, succs: tuple[int, ...]) -> Game:
 
 
 def _opened(game: Game, report: StructureReport, v: int, kind: VertexKind) -> Game:
-    escape = _best_escape(game, _escape_targets(game, report, v), kind)
+    # escapes are sinks: real ones or solved frontier vertices
+    escape = argbest(kind, _escape_targets(game, report, v), game.sink_values)
     return _with_succs(game, v, (escape,))
-
-
-def _greedy_choice(game: Game, w, v: int) -> int:
-    if game.kinds[v] is VertexKind.MAX:
-        best = max(w[s] for s in game.succs[v])
-    else:
-        best = min(w[s] for s in game.succs[v])
-    return min(s for s in game.succs[v] if w[s] == best)
 
 
 def closed_values(game: Game) -> ValueVector:
@@ -404,7 +368,7 @@ def _single_cycle_probe(
     y = x
     cur = walk_succ[x]
     while cur != x:
-        if can_open(cur) and _greedy_choice(game, w1, cur) != walk_succ[cur]:
+        if can_open(cur) and argbest(kind, game.succs[cur], w1) != walk_succ[cur]:
             y = cur
             break
         cur = walk_succ[cur]
@@ -453,12 +417,7 @@ def solve_fork_fpt(game: Game) -> ValueVector:
     in the component, which on stopping games identifies the value
     vector exactly.
     """
-    stopping = check_stopping(game)
-    if not stopping.stopping:
-        raise NotStoppingError(
-            "game is not stopping; play can be confined to "
-            f"{sorted(stopping.witness)}"
-        )
+    require_stopping(game)
     return solve_by_scc(game, _positional_fork_component)
 
 
@@ -559,12 +518,7 @@ def _fork_opening_pass(
     # vertices the sub-solution actually opens
     opened = set()
     for v in sorted(cgame.vertices_of(kind)):
-        sub_succs = sub1.succs[v]
-        if cgame.kinds[v] is VertexKind.MAX:
-            best = max(w1[s] for s in sub_succs)
-        else:
-            best = min(w1[s] for s in sub_succs)
-        choice = min(s for s in sub_succs if w1[s] == best)
+        choice = argbest(kind, sub1.succs[v], w1)
         if (v, choice) not in report.cycle_arcs:
             opened.add(v)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .model import Game, VertexKind, as_fraction
 
@@ -205,51 +205,36 @@ def component_game(
     return Game(tuple(kinds), tuple(succs), tuple(values))
 
 
-def scc_subgames(
-    game: Game, boundary: Mapping[int, Fraction] | None = None
-) -> list[tuple[tuple[int, ...], Game]]:
-    """Induced game per SCC, ordered successors-first.
+def topological_order(vertices: Iterable[int], succs) -> list[int] | None:
+    """Kahn's algorithm on the subgraph the given vertices induce.
 
-    Processing the list in order, each component only ever points at
-    components already seen, so a solver can fill in real boundary
-    values as it goes; without them the frontier sinks hold the
-    placeholder 0.
+    succs[v] lists the successors of v; those outside the subgraph are
+    ignored.  Returns the vertices ordered so that every arc points
+    forward, or None when the subgraph has a cycle.
     """
-    report = analyze(game)
-    return [
-        (comp, component_game(game, comp, boundary)) for comp in report.components
-    ]
-
-
-def is_feedback_set(game: Game, vertices) -> bool:
-    """Whether deleting the given vertices breaks every sink-free cycle."""
-    removed = frozenset(vertices)
-    keep = [v for v in range(game.n) if not game.is_sink(v)]
-    succs = {
-        v: [s for s in set(game.succs[v]) if not game.is_sink(s)] for v in keep
-    }
-    return _is_acyclic_after_removal(keep, succs, removed)
-
-
-def _is_acyclic_after_removal(
-    vertices: list[int], succs: dict[int, list[int]], removed: frozenset[int]
-) -> bool:
-    indeg = {v: 0 for v in vertices if v not in removed}
+    indeg = dict.fromkeys(vertices, 0)
     for v in indeg:
         for s in succs[v]:
             if s in indeg:
                 indeg[s] += 1
     queue = [v for v, d in indeg.items() if d == 0]
-    seen = 0
+    order = []
     while queue:
         v = queue.pop()
-        seen += 1
+        order.append(v)
         for s in succs[v]:
             if s in indeg:
                 indeg[s] -= 1
                 if indeg[s] == 0:
                     queue.append(s)
-    return seen == len(indeg)
+    return order if len(order) == len(indeg) else None
+
+
+def is_feedback_set(game: Game, vertices) -> bool:
+    """Whether deleting the given vertices breaks every sink-free cycle."""
+    removed = set(vertices)
+    keep = (v for v in range(game.n) if not game.is_sink(v) and v not in removed)
+    return topological_order(keep, game.succs) is not None
 
 
 def feedback_vertex_set(game: Game, k_max: int | None = None) -> tuple[int, ...] | None:
@@ -268,6 +253,8 @@ def feedback_vertex_set(game: Game, k_max: int | None = None) -> tuple[int, ...]
         k_max = len(vertices)
     for size in range(min(k_max, len(vertices)) + 1):
         for combo in itertools.combinations(vertices, size):
-            if _is_acyclic_after_removal(vertices, succs, frozenset(combo)):
+            removed = set(combo)
+            keep = [v for v in vertices if v not in removed]
+            if topological_order(keep, succs) is not None:
                 return combo
     return None

@@ -1,10 +1,14 @@
 """Command line behavior: dispatch, formats, exit codes."""
 
+import argparse
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from helpers import game_stream
+from ssg import cli
 from ssg.cli import choose_algorithm, main, run_algorithm
 from ssg.errors import InternalInvariantError
 from ssg.gamefile import parse, serialize
@@ -235,6 +239,27 @@ def test_bench_prints_table_and_machine_rows(capsys):
     assert "solver=auto" in machine[0] and "n=6" in machine[0]
 
 
+def test_bench_keeps_every_row_when_a_solver_breaks(monkeypatch, capsys):
+    def broken(game):
+        raise InternalInvariantError("forced for the test")
+
+    monkeypatch.setitem(cli.SOLVERS, "hk", broken)
+    code = main([
+        "bench",
+        "--family", "single_cycle",
+        "--sizes", "6,8",
+        "--solvers", "hk,oracle",
+        "--seed", "3",
+    ])
+    assert code == 3
+    lines = capsys.readouterr().out.splitlines()[1:]
+    # each machine row follows its table line
+    assert [line.startswith("#row ") for line in lines] == [False, True] * 4
+    rows = lines[1::2]
+    assert all(("status=error" in row) == ("solver=hk" in row) for row in rows)
+    assert all("status=ok" in row for row in rows if "solver=oracle" in row)
+
+
 def test_bench_marks_refusals(capsys):
     # the acyclic solver always refuses single-cycle instances
     code = main([
@@ -250,3 +275,19 @@ def test_bench_marks_refusals(capsys):
     rows = [line for line in out.splitlines() if line.startswith("#row ")]
     assert len(rows) == 3
     assert all("status=refused" in line for line in rows)
+
+
+# --- one solver list ------------------------------------------------------------
+
+
+def test_readme_and_parser_list_the_registered_solvers():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8"
+    )
+    sentence = re.search(r"`--algorithm` forces a specific solver \((.*?)\)", readme, re.S)
+    assert tuple(re.findall(r"`(\w+)`", sentence.group(1))) == cli.ALGORITHMS
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    solve = commands.choices["solve"]
+    option = next(a for a in solve._actions if "--algorithm" in a.option_strings)
+    assert tuple(option.choices) == cli.ALGORITHMS

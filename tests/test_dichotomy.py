@@ -12,7 +12,6 @@ from ssg.dichotomy import (
     dichotomy_solve,
     fixed_point_f,
     make_stopping,
-    precision_schedule,
     sink_denominator_lcm,
     solve_feedback,
     stern_brocot,
@@ -20,7 +19,7 @@ from ssg.dichotomy import (
 )
 from ssg.errors import NotStoppingError, PreconditionError
 from ssg.evaluation import check_stopping
-from ssg.generate import Family
+from ssg.generate import Family, GeneratorSpec, generate
 from ssg.model import game_of
 from ssg.oracle import oracle_solve
 from ssg.solvers import solve_acyclic
@@ -277,18 +276,28 @@ def test_make_stopping_reuses_zero_sink_and_default_length():
 # --- worst-case denominator ladder -------------------------------------------
 
 
-def test_precision_schedule_values_and_recurrence():
-    schedule = precision_schedule(2, 3, 3)
-    assert schedule[0] == 6**2 * 3
-    assert schedule[1] == 6**6 * 3
-    assert schedule[2] == 6**14 * 3
-    for a, b in zip(schedule, schedule[1:]):
-        assert b * 3 == a * a * 6**2
+# --- documented bounds, checked against the oracle ----------------------------
 
 
-def test_precision_schedule_validates_arguments():
-    assert precision_schedule(1, 1, 0) == ()
-    with pytest.raises(PreconditionError):
-        precision_schedule(-1, 1, 2)
-    with pytest.raises(PreconditionError):
-        precision_schedule(1, 0, 2)
+def test_value_denominator_bound_caps_size_not_divisors():
+    g = generate(GeneratorSpec(n=8, family=Family.RANDOM, seed=10148))
+    values = oracle_solve(g).values
+    bound = value_denominator_bound(g)
+    assert bound == 24 and F(7, 16) in values
+    assert all(v.denominator <= bound for v in values)
+
+
+@pytest.mark.parametrize(
+    "n, seed, m, factor",
+    [(6, 20011, 12, F(14, 10)), (6, 20011, 16, F(14, 10)), (7, 20157, 12, F(32, 10))],
+    ids=["n6-m12", "n6-m16", "n7-m12"],
+)
+def test_make_stopping_shift_can_exceed_n_over_2_to_the_m(n, seed, m, factor):
+    spec = GeneratorSpec(
+        n=n, family=Family.RANDOM, seed=seed, proportions=(0.15, 0.15, 0.6, 0.1)
+    )
+    g = generate(spec)
+    exact = oracle_solve(g).values
+    nearby = oracle_solve(make_stopping(g, m)).values
+    shift = max(abs(nearby[v] - exact[v]) for v in range(g.n))
+    assert shift > factor * F(g.n, 2**m)

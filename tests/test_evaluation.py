@@ -10,6 +10,7 @@ import random
 from ssg.dichotomy import value_denominator_bound
 from ssg.errors import PreconditionError
 from ssg.evaluation import (
+    attractor,
     best_response_max,
     best_response_min,
     check_local_optimality,
@@ -177,3 +178,11 @@ def test_evaluate_agrees_with_minimax_on_optimal_pair():
         pair = result.witness_pair
         sigma, tau = pair.sigma, pair.tau
         assert evaluate(g, sigma, tau) == result.values
+
+
+def test_attractor_counts_duplicate_arcs():
+    # 0 -> 2 twice, 1 -> 2 and 3, 2 is the seed, 3 loops, 4 -> 0 and 1
+    arcs = [(2, 2), (2, 3), (), (3,), (0, 1)]
+    assert attractor(arcs, [1] * 5, [2]) == [True, True, True, False, True]
+    need_all = [len(out) for out in arcs]
+    assert attractor(arcs, need_all, [2]) == [True, False, True, False, False]

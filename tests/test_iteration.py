@@ -6,17 +6,10 @@ from fractions import Fraction
 import pytest
 
 from helpers import game_stream
-from ssg.errors import InvalidStrategyError, NotStoppingError
+from ssg.errors import NotStoppingError
 from ssg.evaluation import best_response_min
 from ssg.generate import Family
-from ssg.iteration import (
-    HKTrace,
-    SwitchPolicy,
-    all_open_strategy,
-    hoffman_karp,
-    switch,
-    switchable,
-)
+from ssg.iteration import HKTrace, all_open_strategy, hoffman_karp, switchable
 from ssg.model import Player, Strategy, game_of, merge_sink_neighbors
 from ssg.oracle import oracle_solve
 
@@ -59,20 +52,6 @@ def test_switchable_reports_best_successor():
     assert found == ((2, 5),)
 
 
-def test_switch_validates_against_values():
-    g = choice_game()
-    sigma = Strategy(Player.MAX, {0: 3, 2: 0})
-    _, values = best_response_min(g, sigma)
-    improved = switch(sigma, [(2, 5)], game=g, values=values)
-    assert improved[2] == 5 and improved[0] == 3
-    with pytest.raises(InvalidStrategyError):
-        switch(sigma, [(2, 0)], game=g, values=values)
-    with pytest.raises(InvalidStrategyError):
-        switch(sigma, [(2, 5), (2, 0)])
-    with pytest.raises(InvalidStrategyError):
-        switch(sigma, [(2, 1)], game=g)
-
-
 def test_hoffman_karp_solves_simple_choice():
     trace = hoffman_karp(stopping_choice_game())
     assert trace.values[0] == Fraction(1, 2)
@@ -94,10 +73,7 @@ def test_hoffman_karp_solves_positional_cycle_without_the_gate():
 
 def test_hoffman_karp_matches_oracle_on_stopping_games():
     for g in game_stream(40, seed=29, stopping=True):
-        expected = oracle_solve(g).values
-        for policy in SwitchPolicy:
-            trace = hoffman_karp(g, policy=policy)
-            assert trace.values == expected
+        assert hoffman_karp(g).values == oracle_solve(g).values
 
 
 def test_trace_values_increase_monotonically():
@@ -138,11 +114,3 @@ def test_iteration_bound_when_max_cannot_cycle():
         assert trace2.values == trace.values
         count += 1
     assert count == 30
-
-
-def test_single_switch_policy_reaches_the_same_values():
-    g = stopping_choice_game()
-    all_trace = hoffman_karp(g, policy=SwitchPolicy.ALL)
-    one_trace = hoffman_karp(g, policy=SwitchPolicy.SINGLE)
-    assert one_trace.values == all_trace.values
-    assert one_trace.iterations >= all_trace.iterations

@@ -11,11 +11,11 @@ from ssg.model import (
     Player,
     Strategy,
     VertexKind,
+    argbest,
     as_fraction,
     check_strategy,
     game_of,
     merge_sink_neighbors,
-    restrict,
     validate,
     vertex_to_sink,
 )
@@ -96,14 +96,6 @@ def test_check_strategy_rejects_foreign_vertex_and_arc():
         check_strategy(g, Strategy(Player.MAX, {0: 0}))
 
 
-def test_restrict_pins_choices_without_renumbering():
-    g = game_of([("max", 1, 2), ("min", 0, 2), ("sink", 1)])
-    r = restrict(g, Strategy(Player.MAX, {0: 2}))
-    assert r.n == g.n
-    assert r.succs[0] == (2,)
-    assert r.succs[1] == g.succs[1]
-
-
 def test_vertex_to_sink_keeps_ids():
     g = game_of([("max", 1, 2), ("min", 0, 2), ("sink", 1)])
     sub = vertex_to_sink(g, 1, Fraction(1, 3))
@@ -129,3 +121,12 @@ def test_merge_sink_neighbors_preserves_values():
     for g in game_stream(40, seed=11):
         merged = merge_sink_neighbors(g)
         assert oracle_solve(merged).values == oracle_solve(g).values
+
+
+def test_argbest_breaks_ties_to_the_smallest_id():
+    value = [Fraction(1, 2), Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)]
+    assert argbest(VertexKind.MAX, (2, 0, 2, 1), value) == 0
+    assert argbest(VertexKind.MIN, (3, 3, 1, 0), value) == 1
+    # duplicate arcs to the single best successor
+    assert argbest(VertexKind.MAX, (1, 2, 2), value) == 2
+    assert argbest(VertexKind.MIN, (3, 2, 3), value) == 3

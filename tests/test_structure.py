@@ -12,8 +12,8 @@ from ssg.structure import (
     component_game,
     feedback_vertex_set,
     is_feedback_set,
-    scc_subgames,
     strongly_connected_components,
+    topological_order,
 )
 
 
@@ -123,13 +123,6 @@ def test_component_game_keeps_ids_and_converts_boundary():
     assert bare.is_sink(3) and bare.sink_value(3) == 0
 
 
-def test_scc_subgames_order_matches_components():
-    g = layered_game()
-    report = analyze(g)
-    pairs = list(scc_subgames(g))
-    assert [c for c, _ in pairs] == list(report.components)
-
-
 def test_feedback_vertex_set_single_cycle():
     g = game_of([("max", 1, 2), ("min", 0, 2), ("sink", 1)])
     fvs = feedback_vertex_set(g)
@@ -163,3 +156,15 @@ def test_feedback_prefers_small_ids_deterministically():
         b = feedback_vertex_set(g)
         assert a == b
         assert is_feedback_set(g, a)
+
+
+def test_topological_order_points_arcs_forward_and_rejects_cycles():
+    succs = {0: [1, 2], 1: [2, 2], 2: [], 3: [0]}
+    order = topological_order([0, 1, 2, 3], succs)
+    position = {v: i for i, v in enumerate(order)}
+    assert sorted(order) == [0, 1, 2, 3]
+    assert all(position[v] < position[s] for v in succs for s in succs[v])
+    cycle = {0: [1], 1: [2], 2: [0]}
+    assert topological_order([0, 1, 2], cycle) is None
+    # arcs leaving the given vertices are ignored
+    assert topological_order([0, 1], cycle) == [0, 1]
