@@ -7,9 +7,10 @@ SINK vertices carry a rational value in [0, 1] and loop on themselves.
 A play earns the value of the sink it reaches, and 0 if it never reaches
 one; MAX maximises the expectation, MIN minimises it.
 
-Vertex ids are stable: every construction in this package (subgames,
-sink substitutions, sink merging) keeps the numbering of the input game,
-so value vectors and strategies never need translation tables.
+Vertex ids are stable at the API boundary: sink substitutions and sink
+merging keep the numbering of the input game, and every public solver
+returns values in it.  Component subgames are compact, renumbered in
+original id order; solve_by_scc maps their values back.
 """
 
 from __future__ import annotations

@@ -18,6 +18,7 @@ from fractions import Fraction
 
 from .errors import InternalInvariantError, PreconditionError
 from .evaluation import (
+    attractor,
     check_local_optimality,
     check_stopping,
     one_step_value,
@@ -55,7 +56,8 @@ def solve_by_scc(game: Game, component_solver) -> ValueVector:
 
     Components are processed successors-first, so when a component's
     turn comes every arc leaving it points at an already-solved vertex
-    and the component solver sees those values as frontier sinks.
+    and the component solver sees those values as frontier sinks of the
+    compact component game; its values map back through the id map.
     Sinks and non-cyclic singletons are folded in directly.
     """
     report = analyze(game)
@@ -68,8 +70,8 @@ def solve_by_scc(game: Game, component_solver) -> ValueVector:
         elif len(comp) == 1 and v not in game.succs[v]:
             values[v] = one_step_value(game, values, v)
         else:
-            sub = component_game(game, comp, solved)
-            sub_values = component_solver(sub)
+            sub, ids = component_game(game, comp, solved)
+            sub_values = dict(zip(ids, component_solver(sub)))
             for u in comp:
                 values[u] = sub_values[u]
         for u in comp:
@@ -147,8 +149,11 @@ def _opened(game: Game, report: StructureReport, v: int, kind: VertexKind) -> Ga
     return _with_succs(game, v, (escape,))
 
 
-def closed_values(game: Game) -> ValueVector:
+def closed_values(game: Game, report: StructureReport) -> ValueVector:
     """Values when every positional vertex keeps the play inside.
+
+    The report must be analyze(game); callers hand theirs down so that
+    each component game is analysed once.
 
     With positional choices committed to their cycle arcs the play is a
     Markov chain that only leaves through the coin flips of AVE
@@ -159,7 +164,6 @@ def closed_values(game: Game) -> ValueVector:
     With forking AVE vertices each value is affine in the fork values,
     which solve an exact linear system with one row per fork.
     """
-    report = analyze(game)
     if report.k_p:
         raise PreconditionError("positional fork vertices present")
     comp = _require_one_cycle_component(game, report)
@@ -189,19 +193,11 @@ def closed_values(game: Game) -> ValueVector:
 
     # Vertices that reach an escape with positive probability; the
     # rest sit in a sink-free trap and are worth exactly 0.
-    preds: dict[int, list[int]] = {v: [] for v in comp}
+    arcs = [()] * game.n
     for v in comp:
-        outs = [walk_succ[v]] if v not in forks else _sorted_cycle_targets(game, report, v)
-        for t in outs:
-            preds[t].append(v)
-    reaches = set(escape_value)
-    stack = sorted(reaches)
-    while stack:
-        t = stack.pop()
-        for p in preds[t]:
-            if p not in reaches:
-                reaches.add(p)
-                stack.append(p)
+        arcs[v] = (walk_succ[v],) if v not in forks else _sorted_cycle_targets(game, report, v)
+    inside = attractor(arcs, [1] * game.n, escape_value)
+    reaches = {v for v in comp if inside[v]}
     for v in comp - reaches:
         values[v] = ZERO
 
@@ -333,7 +329,7 @@ def solve_almost_acyclic_scc(game: Game) -> ValueVector:
     if report.k_p or report.k_a:
         raise PreconditionError("component is not a single cycle")
     _require_one_cycle_component(game, report)
-    w = closed_values(game)
+    w = closed_values(game, report)
     if check_local_optimality(game, w).satisfied:
         return w
     attempt = _single_cycle_probe(game, report, VertexKind.MAX)
@@ -466,7 +462,7 @@ def _average_fork_component(cgame: Game, budget: ForkBudget) -> ValueVector:
     if report.k_a == 0:
         return solve_almost_acyclic_scc(cgame)
     budget = budget.at_component(report.k_a)
-    w = closed_values(cgame)
+    w = closed_values(cgame, report)
     if check_local_optimality(cgame, w).satisfied:
         return w
     for kind in (VertexKind.MAX, VertexKind.MIN):

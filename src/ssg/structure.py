@@ -31,9 +31,10 @@ def strongly_connected_components(game: Game) -> list[list[int]]:
     into a component that appears earlier in the list.
     """
     n = game.n
+    sink = [k is VertexKind.SINK for k in game.kinds]
 
     def arcs(v: int) -> tuple[int, ...]:
-        return () if game.is_sink(v) else game.succs[v]
+        return () if sink[v] else game.succs[v]
 
     UNSEEN = -1
     index = [UNSEEN] * n
@@ -132,21 +133,19 @@ def analyze(game: Game) -> StructureReport:
         for v in comp:
             component_of[v] = i
 
+    sink = [k is VertexKind.SINK for k in game.kinds]
     cyclic_component = [len(c) > 1 for c in comps]
     for v in range(game.n):
-        if not game.is_sink(v) and v in game.succs[v]:
+        if not sink[v] and v in game.succs[v]:
             cyclic_component[component_of[v]] = True
 
     cycle_arcs = set()
     for v in range(game.n):
-        if game.is_sink(v):
+        c = component_of[v]
+        if sink[v] or not cyclic_component[c]:
             continue
         for s in set(game.succs[v]):
-            if (
-                not game.is_sink(s)
-                and component_of[s] == component_of[v]
-                and cyclic_component[component_of[v]]
-            ):
+            if not sink[s] and component_of[s] == c:
                 cycle_arcs.add((v, s))
 
     out_count: dict[int, int] = {}
@@ -180,29 +179,35 @@ def analyze(game: Game) -> StructureReport:
 
 def component_game(
     game: Game, component: tuple[int, ...], boundary: Mapping[int, Fraction] | None = None
-) -> Game:
-    """Game where everything outside the component becomes a sink.
+) -> tuple[Game, tuple[int, ...]]:
+    """Compact game of one component: its vertices plus the distinct
+    vertices its arcs leave into, the latter turned into sinks.
 
-    Boundary values fill in the sinks the component's outgoing arcs now
-    point at; vertices absent from the mapping get the placeholder 0.
-    Vertex ids are untouched, so values computed on the result read
-    back directly into the parent game.
+    Returns (sub, ids), where ids[i] is the original id of local vertex
+    i.  Local ids follow original id order, so every "ties to the
+    smallest id" rule picks the same vertex in the subgame as in the
+    game.  Boundary values fill in the frontier sinks; a frontier sink
+    absent from the mapping keeps its own value, and any other frontier
+    vertex absent from it gets the placeholder 0.
     """
     boundary = boundary or {}
     inside = set(component)
-    kinds = list(game.kinds)
-    succs = list(game.succs)
-    values = list(game.sink_values)
-    for v in range(game.n):
+    ids = tuple(sorted(inside.union(*(game.succs[v] for v in component))))
+    local = {v: i for i, v in enumerate(ids)}
+    kinds, succs, values = [], [], []
+    for i, v in enumerate(ids):
         if v in inside:
-            continue
-        kinds[v] = VertexKind.SINK
-        succs[v] = (v,)
-        if game.is_sink(v):
-            values[v] = boundary.get(v, game.sink_value(v))
+            kinds.append(game.kinds[v])
+            succs.append(tuple(local[s] for s in game.succs[v]))
+            values.append(game.sink_values[v])
         else:
-            values[v] = as_fraction(boundary.get(v, ZERO))
-    return Game(tuple(kinds), tuple(succs), tuple(values))
+            kinds.append(VertexKind.SINK)
+            succs.append((i,))
+            if game.is_sink(v):
+                values.append(boundary.get(v, game.sink_value(v)))
+            else:
+                values.append(as_fraction(boundary.get(v, ZERO)))
+    return Game(tuple(kinds), tuple(succs), tuple(values)), ids
 
 
 def topological_order(vertices: Iterable[int], succs) -> list[int] | None:

@@ -167,7 +167,7 @@ def test_c5_closed_cycle_values_solve_the_linear_system():
             cycle = sorted({v for v, _ in report.cycle_arcs})
             ell = sum(1 for v in cycle if g.kinds[v] is VertexKind.AVE)
             assert ell <= 12
-            values = closed_values(g)
+            values = closed_values(g, report)
             sigma, tau = closed_profile(g, report)
             assert evaluate(g, sigma, tau) == values
             escaping = any(

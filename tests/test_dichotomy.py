@@ -20,7 +20,7 @@ from ssg.dichotomy import (
 from ssg.errors import NotStoppingError, PreconditionError
 from ssg.evaluation import check_stopping
 from ssg.generate import Family, GeneratorSpec, generate
-from ssg.model import game_of
+from ssg.model import VertexKind, game_of
 from ssg.oracle import oracle_solve
 from ssg.solvers import solve_acyclic
 
@@ -252,14 +252,35 @@ def test_make_stopping_exact_on_trap():
     assert values[0] == 1 and values[1] == 0
 
 
-def test_make_stopping_error_is_bounded():
+def test_make_stopping_routes_playable_arcs_through_coin_chains():
+    # n/2^m does not bound the value shift (see
+    # test_make_stopping_shift_can_exceed_n_over_2_to_the_m); the
+    # construction itself is what make_stopping guarantees
+    m = 10
     for g in game_stream(20, min_n=4, max_n=6, seed=79):
-        exact = oracle_solve(g).values
-        t = make_stopping(g, 10)
-        nearby = oracle_solve(t).values
-        tolerance = F(g.n, 2**10)
+        t = make_stopping(g, m)
+        assert check_stopping(t).stopping
+        assert t.kinds[: g.n] == g.kinds
+        assert t.sink_values[: g.n] == g.sink_values
+        chained = set()
         for v in range(g.n):
-            assert abs(nearby[v] - exact[v]) <= tolerance
+            if g.is_sink(v):
+                continue
+            assert len(t.succs[v]) == len(g.succs[v])
+            for y, head in zip(g.succs[v], t.succs[v]):
+                if g.is_sink(y):
+                    assert head == y
+                    continue
+                cur = head
+                for _ in range(m):
+                    assert cur >= g.n and cur not in chained
+                    assert t.kinds[cur] is VertexKind.AVE
+                    chained.add(cur)
+                    cur, target = t.succs[cur]
+                    assert target == y
+                assert t.is_sink(cur) and t.sink_value(cur) == 0
+        zero_added = not any(g.sink_value(v) == 0 for v in g.sink_vertices)
+        assert t.n == g.n + len(chained) + zero_added
 
 
 def test_make_stopping_reuses_zero_sink_and_default_length():

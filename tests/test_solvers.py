@@ -5,8 +5,10 @@ from fractions import Fraction
 import pytest
 
 from helpers import closed_profile, game_stream, hand_system
+from ssg import solvers
+from ssg.cli import run_algorithm
 from ssg.errors import InternalInvariantError, NotStoppingError, PreconditionError
-from ssg.evaluation import evaluate
+from ssg.evaluation import evaluate, greedy_strategies
 from ssg.generate import Family
 from ssg.model import VertexKind, game_of
 from ssg.oracle import oracle_solve
@@ -82,6 +84,29 @@ def test_solve_by_scc_layers_component_values():
     assert values == oracle_solve(g).values
 
 
+def test_solve_by_scc_keeps_smallest_id_ties_across_the_frontier():
+    # MAX vertex 2 leaves its cycle for sink 0 or solved vertex 6, both
+    # worth 1/2; the frontier sink has a smaller id than the component
+    g = game_of([
+        ("sink", F(1, 2)),
+        ("sink", F(1, 4)),
+        ("max", 3, 6, 0),
+        ("min", 4, 7, 0),
+        ("ave", 2, 1),
+        ("sink", F(3, 4)),
+        ("ave", 5, 1),
+        ("sink", F(1, 2)),
+    ])
+    values = solve_by_scc(g, solve_almost_acyclic_scc)
+    oracle = oracle_solve(g).values
+    assert values == oracle
+    assert values == (F(1, 2), F(1, 4), F(1, 2), F(3, 8), F(3, 8), F(3, 4), F(1, 2), F(1, 2))
+    pair = greedy_strategies(g, values)
+    assert pair == greedy_strategies(g, oracle)
+    assert pair.sigma.choice == {2: 0}
+    assert pair.tau.choice == {3: 4}
+
+
 def test_solve_by_scc_rejects_dishonest_component_values():
     g = two_ave_cycle()
 
@@ -92,17 +117,46 @@ def test_solve_by_scc_rejects_dishonest_component_values():
         solve_by_scc(g, wrong)
 
 
+def cycle_chain(blocks: int):
+    """b two-vertex cycles in a row: MAX 2i -> (2i+1, 2i+2), AVE
+    2i+1 -> (2i, 2i+2), and the last block leaves into sink 1/3."""
+    rows = []
+    for i in range(blocks):
+        rows += [("max", 2 * i + 1, 2 * i + 2), ("ave", 2 * i, 2 * i + 2)]
+    return game_of(rows + [("sink", F(1, 3))])
+
+
+@pytest.mark.parametrize("blocks", [100, 1000])
+def test_auto_analyses_each_component_once_on_its_own(monkeypatch, blocks):
+    # a count, not a clock: analysing a full-size game per component
+    # would see about blocks * n vertices in total
+    seen = []
+
+    def recording_analyze(game):
+        seen.append(game.n)
+        return analyze(game)
+
+    monkeypatch.setattr(solvers, "analyze", recording_analyze)
+    g = cycle_chain(blocks)
+    report = run_algorithm(g, "auto")
+    assert report.algorithm == "almost_acyclic"
+    assert report.values[0] == F(1, 3)
+    assert sum(seen) <= 4 * g.n
+
+
 # --- closed evaluation --------------------------------------------------
 
 
 def test_closed_values_two_ave_cycle():
-    values = closed_values(two_ave_cycle())
+    g = two_ave_cycle()
+    values = closed_values(g, analyze(g))
     assert values[0] == F(1, 3)
     assert values[1] == F(2, 3)
 
 
 def test_closed_values_fork_system():
-    values = closed_values(ave_fork_triangle())
+    g = ave_fork_triangle()
+    values = closed_values(g, analyze(g))
     assert values[0] == F(1, 2)
     assert values[1] == F(3, 8)
     assert values[2] == F(5, 8)
@@ -110,7 +164,7 @@ def test_closed_values_fork_system():
 
 def test_closed_values_zero_trap():
     g = game_of([("min", 0, 1), ("sink", 1)])
-    values = closed_values(g)
+    values = closed_values(g, analyze(g))
     assert values[0] == 0
     assert values[1] == 1
 
@@ -124,14 +178,14 @@ def test_closed_values_rejects_positional_forks():
         ("sink", F(2, 3)),
     ])
     with pytest.raises(PreconditionError):
-        closed_values(g)
+        closed_values(g, analyze(g))
 
 
 def test_closed_values_match_hand_system_and_evaluation():
     checked = 0
     for g in game_stream(60, family=Family.SINGLE_CYCLE, min_n=3, max_n=14, seed=43):
         report = analyze(g)
-        values = closed_values(g)
+        values = closed_values(g, report)
         sigma, tau = closed_profile(g, report)
         assert evaluate(g, sigma, tau) == values
         cycle = sorted({v for v, _ in report.cycle_arcs})
@@ -272,7 +326,7 @@ def test_fork_fpt_average_fork():
 
 def test_fork_fpt_pure_average_forks():
     g = ave_fork_triangle()
-    assert solve_fork_fpt(g) == closed_values(g)
+    assert solve_fork_fpt(g) == closed_values(g, analyze(g))
 
 
 def test_fork_fpt_requires_stopping():

@@ -110,16 +110,34 @@ def test_max_acyclic_flag():
 
 
 def test_component_game_keeps_ids_and_converts_boundary():
-    g = layered_game()
-    solved = {2: Fraction(1, 3), 3: Fraction(1, 2)}
-    sub = component_game(g, (0, 1), solved)
-    assert sub.n == g.n
-    assert sub.is_sink(2) and sub.sink_value(2) == Fraction(1, 3)
-    assert sub.succs[0] == g.succs[0]
-    # sinks outside the boundary mapping keep their own value
-    assert sub.is_sink(4) and sub.sink_value(4) == Fraction(1, 2)
-    # non-sink vertices without a boundary value become 0 placeholders
-    bare = component_game(g, (0, 1))
+    g = game_of([
+        ("sink", Fraction(1, 4)),
+        ("max", 2, 0, 3),
+        ("min", 1, 4),
+        ("ave", 5, 6),
+        ("sink", Fraction(1, 2)),
+        ("sink", 0),
+        ("sink", 1),
+    ])
+    comp = (1, 2)
+    sub, ids = component_game(g, comp, {3: Fraction(1, 3)})
+    # only the component and the vertices its arcs leave into, in id order
+    assert ids == (0, 1, 2, 3, 4)
+    assert sub.n == len(ids)
+    for i, v in enumerate(ids):
+        if v in comp:
+            assert sub.kinds[i] is g.kinds[v]
+            assert tuple(ids[s] for s in sub.succs[i]) == g.succs[v]
+        else:
+            assert sub.is_sink(i)
+    # a solved frontier vertex carries its boundary value
+    assert sub.sink_value(3) == Fraction(1, 3)
+    # frontier sinks outside the boundary mapping keep their own value
+    assert sub.sink_value(0) == Fraction(1, 4)
+    assert sub.sink_value(4) == Fraction(1, 2)
+    # an unsolved non-sink frontier vertex becomes a 0 placeholder
+    bare, bare_ids = component_game(g, comp)
+    assert bare_ids == ids
     assert bare.is_sink(3) and bare.sink_value(3) == 0
 
 
