@@ -134,9 +134,9 @@ def _load(path: str) -> Game:
 
 
 def solve_command(args: argparse.Namespace) -> int:
-    game = _load(args.file)
+    original = game = _load(args.file)
     if args.make_stopping is not None:
-        game = make_stopping(game, args.make_stopping or None)
+        game = make_stopping(original, args.make_stopping or None)
     requested = args.algorithm
     try:
         report = run_algorithm(game, requested)
@@ -146,8 +146,8 @@ def solve_command(args: argparse.Namespace) -> int:
     chosen = report.algorithm + (" (auto)" if requested == "auto" else "")
     print(f"algorithm: {chosen}")
     print(
-        f"vertices: {game.n} (max {game.n_max}, min {game.n_min}, "
-        f"ave {game.n_ave})"
+        f"vertices: {original.n} (max {original.n_max}, min {original.n_min}, "
+        f"ave {original.n_ave})"
     )
     if report.iterations is not None:
         print(f"iterations: {report.iterations}")
@@ -155,14 +155,17 @@ def solve_command(args: argparse.Namespace) -> int:
         print(f"subsolver calls: {report.subsolver_calls}")
     print(f"time: {report.seconds:.4f}s")
     print("values:")
-    for v, value in enumerate(report.values):
+    for v, value in enumerate(report.values[: original.n]):
         print(f"  {v} = {_rational(value)}")
     if args.strategies:
         pair = greedy_strategies(game, report.values)
         print("strategies:")
         for label, strategy in (("max", pair.sigma), ("min", pair.tau)):
             for v in strategy.support:
-                print(f"  {label} {v} -> {strategy[v]}")
+                # make_stopping keeps each arc's slot, so a chain head
+                # maps back to the arc it replaced
+                target = original.succs[v][game.succs[v].index(strategy[v])]
+                print(f"  {label} {v} -> {target}")
     return 0
 
 

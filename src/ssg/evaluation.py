@@ -1,19 +1,25 @@
 """Exact evaluation of strategy pairs and one-player best responses.
 
-Fixing a pure stationary strategy for each player turns the game into
-an absorbing Markov chain, and every vertex value is the expected value
-of the sink the chain gets absorbed in.  Evaluation is exact: first the
-vertices of value zero are peeled off by a fixpoint (they are the ones
-that never reach a positive sink), the surviving positional vertices
-forward deterministically to the next branching vertex, and the values
-of the branching AVE vertices solve a linear system over the rationals.
+Fixing an arc for every positional vertex turns the game into an
+absorbing Markov chain, and every vertex value is the expected value
+of the sink the chain gets absorbed in.  One kernel, chain_values,
+computes these values exactly for any such choice of arcs: evaluate
+hands it a strategy pair, solvers.closed_values the cycle arcs of a
+component.  Sinks and the vertices of value zero (those that cannot
+reach a positive sink) are settled first.  Every other vertex walks
+forward to the first settled vertex or fork, so its value is affine in
+the value of at most one fork, an AVE vertex with two distinct
+unsettled successors.  A walk that closes a cycle without a fork is
+solved in closed form by an integer recurrence, and the forks alone
+solve an exact linear system over the rationals.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     InternalInvariantError,
@@ -33,6 +39,8 @@ from .model import (
 )
 
 ZERO = Fraction(0)
+ONE = Fraction(1)
+TWO = Fraction(2)
 HALF = Fraction(1, 2)
 
 
@@ -43,12 +51,6 @@ def _require_total(game: Game, *strategies: Strategy) -> None:
         if not strategy.is_total_for(game):
             who = strategy.owner.value.upper()
             raise InvalidStrategyError(f"{who} strategy does not cover every {who} vertex")
-
-
-def _chosen(game: Game, sigma: Strategy, tau: Strategy, v: int) -> int:
-    if game.kinds[v] is VertexKind.MAX:
-        return sigma[v]
-    return tau[v]
 
 
 def attractor(
@@ -82,6 +84,24 @@ def attractor(
     return inside
 
 
+def _choices(game: Game, sigma: Strategy, tau: Strategy) -> dict[int, int]:
+    """The arc each positional vertex takes under a total strategy pair."""
+    if sigma.owner is not Player.MAX or tau.owner is not Player.MIN:
+        raise InvalidStrategyError("evaluate expects (MAX strategy, MIN strategy)")
+    _require_total(game, sigma, tau)
+    return {**sigma.choice, **tau.choice}
+
+
+def _positive_reach(game: Game, chosen: Mapping[int, int]) -> list[bool]:
+    """Whether each vertex can reach a positive sink when every
+    positional vertex v keeps to the arc chosen[v] (chosen covers
+    exactly the positional vertices).
+    """
+    arcs = [(chosen[v],) if v in chosen else out for v, out in enumerate(game.succs)]
+    positive = [v for v in game.sink_vertices if game.sink_value(v) > 0]
+    return attractor(arcs, [1] * game.n, positive)
+
+
 def zero_set(game: Game, sigma: Strategy, tau: Strategy) -> frozenset[int]:
     """Vertices of value exactly zero under the fixed pair.
 
@@ -89,15 +109,7 @@ def zero_set(game: Game, sigma: Strategy, tau: Strategy) -> frozenset[int]:
     cannot reach a positive-value sink: it lies outside the attractor
     of the positive sinks over the arcs the pair uses.
     """
-    if sigma.owner is not Player.MAX or tau.owner is not Player.MIN:
-        raise InvalidStrategyError("evaluate expects (MAX strategy, MIN strategy)")
-    _require_total(game, sigma, tau)
-    arcs = [
-        (_chosen(game, sigma, tau, v),) if game.is_positional(v) else game.succs[v]
-        for v in range(game.n)
-    ]
-    positive = [v for v in game.sink_vertices if game.sink_value(v) > 0]
-    reaches = attractor(arcs, [1] * game.n, positive)
+    reaches = _positive_reach(game, _choices(game, sigma, tau))
     return frozenset(v for v in range(game.n) if not reaches[v])
 
 
@@ -146,91 +158,140 @@ def solve_linear_system(
     return x
 
 
-def evaluate(game: Game, sigma: Strategy, tau: Strategy) -> ValueVector:
-    """Exact vertex values under a total strategy pair.
+def chain_values(game: Game, chosen: Mapping[int, int]) -> ValueVector:
+    """Exact vertex values when every positional vertex v keeps to the
+    arc chosen[v]; chosen covers exactly the positional vertices.
 
-    Sinks keep their value, zero-set vertices get 0, the remaining
-    positional vertices take the value of the first branching vertex
-    their deterministic walk reaches, and the branching AVE values solve
-    an exact linear system (one equation per AVE vertex: its value is
-    the half-sum of its successors' values).
+    Sinks keep their value and vertices that cannot reach a positive
+    sink are worth 0; together they are the settled vertices.  A fork
+    is an AVE vertex with two distinct unsettled successors, and its
+    value is an unknown.  Every other vertex walks forward to the first
+    settled vertex or fork: a positional vertex, and an AVE vertex whose
+    two arcs coincide, passes the next value on unchanged, and an AVE
+    vertex with a settled successor s (an escape) is worth s/2 plus
+    half the next value.  Each value is thus c + gamma * (fork value),
+    the forks solve an exact linear system with one row per fork, and
+    a walk that closes a cycle without a fork is solved by
+    _cycle_forms.
     """
-    z = zero_set(game, sigma, tau)
-    n = game.n
-
-    # Forward target of the deterministic part of the chain: positional
-    # vertices follow their chosen arc, an AVE vertex whose two arcs
-    # coincide is a mere pass-through.
-    def step(v: int) -> int | None:
-        kind = game.kinds[v]
-        if kind is VertexKind.SINK:
-            return None
-        if kind is VertexKind.AVE:
-            s1, s2 = game.succs[v]
-            return s1 if s1 == s2 else None
-        return _chosen(game, sigma, tau, v)
-
-    # resolved[v] is the sink / branching AVE / zero vertex the walk
-    # from v reaches.  Walks cannot cycle outside the zero set: a
-    # deterministic sink-free loop never reaches a positive sink.
-    resolved: list[int | None] = [None] * n
-    for v in range(n):
-        if resolved[v] is not None or v in z:
-            continue
-        trail = []
-        cur = v
-        while cur not in z and resolved[cur] is None and step(cur) is not None:
-            trail.append(cur)
-            cur = step(cur)
-        if resolved[cur] is not None:
-            cur = resolved[cur]
-        for u in trail:
-            if u not in z:
-                resolved[u] = cur
-
-    def anchor(v: int) -> int:
-        if v in z:
-            return v
-        r = resolved[v]
-        return v if r is None else r
-
-    unknowns = [
-        v
-        for v in range(n)
-        if v not in z
-        and game.kinds[v] is VertexKind.AVE
-        and game.succs[v][0] != game.succs[v][1]
+    reaches = _positive_reach(game, chosen)
+    settled = [s if r else ZERO for r, s in zip(reaches, game.sink_values)]
+    # forms[v] = (c, gamma, f): value(v) = c + gamma * value(f); f is a
+    # fork, or None when gamma is 0
+    forms: list[tuple[Fraction, Fraction, int | None] | None] = [
+        None if s is None else (s, ZERO, None) for s in settled
     ]
-    index = {v: i for i, v in enumerate(unknowns)}
-    k = len(unknowns)
-    if k:
-        matrix = [[ZERO] * k for _ in range(k)]
-        rhs = [ZERO] * k
-        for v in unknowns:
-            i = index[v]
-            matrix[i][i] = Fraction(1)
-            for s in game.succs[v]:
-                t = anchor(s)
-                if t in z:
-                    continue
-                if game.kinds[t] is VertexKind.SINK:
-                    rhs[i] += HALF * game.sink_value(t)
-                else:
-                    matrix[i][index[t]] -= HALF
-        solution = solve_linear_system(matrix, rhs)
-    else:
-        solution = []
-
-    values: list[Fraction] = [ZERO] * n
-    for v in range(n):
-        if v in z:
+    step = [0] * game.n
+    escape: dict[int, Fraction] = {}
+    forks: list[int] = []
+    for v, kind in enumerate(game.kinds):
+        if forms[v] is not None:
             continue
-        t = anchor(v)
-        if game.kinds[t] is VertexKind.SINK:
-            values[v] = game.sink_value(t)
+        if kind is not VertexKind.AVE:
+            step[v] = chosen[v]
+            continue
+        a, b = game.succs[v]
+        if settled[b] is None:
+            a, b = b, a
+        if a == b:
+            step[v] = a
+        elif settled[b] is None:
+            forks.append(v)
+            forms[v] = (ZERO, ONE, v)
         else:
-            values[v] = solution[index[t]]
-    return tuple(values)
+            step[v] = a
+            escape[v] = settled[b]
+
+    for start in range(game.n):
+        if forms[start] is not None:
+            continue
+        trail: list[int] = []
+        at: dict[int, int] = {}
+        cur = start
+        while forms[cur] is None:
+            if cur in at:
+                _cycle_forms(trail[at[cur]:], escape, forms)
+                del trail[at[cur]:]
+                break
+            at[cur] = len(trail)
+            trail.append(cur)
+            cur = step[cur]
+        base = forms[cur]
+        for v in reversed(trail):
+            s = escape.get(v)
+            if s is not None:
+                c, gamma, f = base
+                base = (HALF * (s + c), HALF * gamma, f)
+            forms[v] = base
+
+    if not forks:
+        return tuple(c for c, _, _ in forms)
+    index = {f: i for i, f in enumerate(forks)}
+    k = len(forks)
+    matrix = [[ZERO] * k for _ in range(k)]
+    rhs = [ZERO] * k
+    # row of fork f, doubled: 2 value(f) - form(t1) - form(t2) = 0
+    for i, f in enumerate(forks):
+        matrix[i][i] = TWO
+        for t in game.succs[f]:
+            c, gamma, g = forms[t]
+            if c:
+                rhs[i] += c
+            if gamma:
+                matrix[i][index[g]] -= gamma
+    x = solve_linear_system(matrix, rhs)
+    return tuple(c + gamma * x[index[f]] if gamma else c for c, gamma, f in forms)
+
+
+def _cycle_forms(
+    cycle: list[int],
+    escape: dict[int, Fraction],
+    forms: list[tuple[Fraction, Fraction, int | None] | None],
+) -> None:
+    """Exact values along a walk that closes a cycle without a fork.
+
+    The cycle is given in walk order.  Its vertices reach a positive
+    sink and only escapes leave it, so it holds at least one escape.
+    Starting from its smallest-id escape, with s_1..s_l the escape
+    values in walk order, that vertex is worth
+    2^l/(2^l - 1) * sum over i of 2^(-i) * s_i, and the rest unroll
+    from there.  Values share one denominator D = (2^l - 1) * q, so the
+    whole pass is integer arithmetic; consecutive escape-free vertices
+    share the same form.
+    """
+    starts = [v for v in cycle if v in escape]
+    if not starts:
+        raise InternalInvariantError("escape-free cycle classified as escaping")
+    at = cycle.index(min(starts))
+    cycle = cycle[at:] + cycle[:at]
+
+    escapes = [escape[v] for v in cycle if v in escape]
+    q = math.lcm(*(s.denominator for s in escapes))
+    full = (1 << len(escapes)) - 1
+    denom = full * q
+    m = 0
+    for s in escapes:
+        m = 2 * m + s.numerator * (q // s.denominator)
+
+    first_m = m
+    form = (Fraction(m, denom), ZERO, None)
+    for i, v in enumerate(cycle):
+        forms[v] = form
+        s = escape.get(v)
+        if s is not None:
+            m = 2 * m - s.numerator * (q // s.denominator) * full
+            if i + 1 < len(cycle):
+                form = (Fraction(m, denom), ZERO, None)
+    if m != first_m:
+        raise InternalInvariantError("cycle value recurrence did not close")
+
+
+def evaluate(game: Game, sigma: Strategy, tau: Strategy) -> ValueVector:
+    """Exact vertex values under a total strategy pair: chain_values
+    with every MAX vertex on its sigma arc and every MIN vertex on its
+    tau arc.
+    """
+    return chain_values(game, _choices(game, sigma, tau))
 
 
 @dataclass(frozen=True)

@@ -12,25 +12,22 @@ local optimality equations.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalInvariantError, PreconditionError
 from .evaluation import (
-    attractor,
+    chain_values,
     check_local_optimality,
     check_stopping,
     one_step_value,
     require_stopping,
-    solve_linear_system,
 )
 from .iteration import all_open_strategy, hoffman_karp
 from .model import Game, ValueVector, VertexKind, argbest, merge_sink_neighbors
 from .structure import StructureReport, analyze, component_game, topological_order
 
 ZERO = Fraction(0)
-HALF = Fraction(1, 2)
 
 
 def solve_acyclic(game: Game) -> ValueVector:
@@ -86,14 +83,14 @@ def solve_by_scc(game: Game, component_solver) -> ValueVector:
     return vector
 
 
-def _require_one_cycle_component(game: Game, report: StructureReport) -> frozenset[int]:
+def _require_one_cycle_component(game: Game, report: StructureReport) -> None:
     """The preconditions shared by the strongly connected solvers.
 
     Every non-sink vertex must belong to a single cyclic component
-    (frontier sinks aside); returns that component's vertex set.
+    (frontier sinks aside).
     """
     on_cycles = {v for arc in report.cycle_arcs for v in arc}
-    nonsinks = {v for v in range(game.n) if not game.is_sink(v)}
+    nonsinks = {v for v, kind in enumerate(game.kinds) if kind is not VertexKind.SINK}
     if nonsinks != on_cycles:
         raise PreconditionError(
             "expected one strongly connected component plus sinks"
@@ -101,7 +98,6 @@ def _require_one_cycle_component(game: Game, report: StructureReport) -> frozens
     comps = {report.component_of[v] for v in on_cycles}
     if len(comps) > 1:
         raise PreconditionError("more than one strongly connected component")
-    return frozenset(on_cycles)
 
 
 def solve_max_acyclic_scc(game: Game) -> ValueVector:
@@ -155,163 +151,28 @@ def closed_values(game: Game, report: StructureReport) -> ValueVector:
     The report must be analyze(game); callers hand theirs down so that
     each component game is analysed once.
 
-    With positional choices committed to their cycle arcs the play is a
-    Markov chain that only leaves through the coin flips of AVE
-    vertices.  Vertices that cannot reach an escape at all are worth 0.
-    On a plain cycle the first AVE vertex is worth
-    2^l/(2^l - 1) * sum over i of 2^(-i) * s_i, where s_1..s_l are the
-    escape values in walk order; everything else unrolls from there.
-    With forking AVE vertices each value is affine in the fork values,
-    which solve an exact linear system with one row per fork.
+    With positional choices committed to their one cycle arc the play
+    is a Markov chain that only leaves through the coin flips of AVE
+    vertices, and evaluation.chain_values gives its exact values:
+    vertices that cannot reach a positive sink are worth 0, a plain
+    cycle is solved in closed form, and forking AVE vertices solve an
+    exact linear system with one row per fork.
     """
     if report.k_p:
         raise PreconditionError("positional fork vertices present")
-    comp = _require_one_cycle_component(game, report)
-
-    values: list[Fraction | None] = [None] * game.n
-    for v in game.sink_vertices:
-        values[v] = game.sink_value(v)
-    if not comp:
-        return tuple(values)
-
-    forks = set(report.fork_average)
-    walk_succ: dict[int, int] = {}
-    escape_value: dict[int, Fraction] = {}
-    for v in sorted(comp):
-        if v in forks:
+    _require_one_cycle_component(game, report)
+    chosen = {}
+    for v, kind in enumerate(game.kinds):
+        if kind is VertexKind.SINK or v in report.fork_average:
             continue
-        targets = _sorted_cycle_targets(game, report, v)
+        targets = {s for s in game.succs[v] if (v, s) in report.cycle_arcs}
         if len(targets) != 1:
             raise InternalInvariantError(
                 f"vertex {v} has {len(targets)} cycle arcs in a fork-free walk"
             )
-        walk_succ[v] = targets[0]
-        if game.kinds[v] is VertexKind.AVE:
-            rest = set(game.succs[v]) - {targets[0]}
-            if rest:
-                escape_value[v] = game.sink_value(rest.pop())
-
-    # Vertices that reach an escape with positive probability; the
-    # rest sit in a sink-free trap and are worth exactly 0.
-    arcs = [()] * game.n
-    for v in comp:
-        arcs[v] = (walk_succ[v],) if v not in forks else _sorted_cycle_targets(game, report, v)
-    inside = attractor(arcs, [1] * game.n, escape_value)
-    reaches = {v for v in comp if inside[v]}
-    for v in comp - reaches:
-        values[v] = ZERO
-
-    # Affine form value(v) = c + gamma * value(fork): resolved by
-    # walking forward to the first fork, or absolutely when the walk
-    # ends in a value-0 trap or a fork-free cycle (the Eq-style case).
-    affine: dict[int, tuple[Fraction, Fraction, int | None]] = {}
-    for v in comp - reaches:
-        affine[v] = (ZERO, ZERO, None)
-
-    def resolve_chain(start: int) -> None:
-        trail: list[int] = []
-        on_trail: dict[int, int] = {}
-        cur = start
-        while True:
-            if cur in forks:
-                base = (ZERO, Fraction(1), cur)
-                break
-            if cur in affine:
-                base = affine[cur]
-                break
-            if cur in on_trail:
-                _assign_cycle_values(
-                    game, trail[on_trail[cur]:], escape_value, values, affine
-                )
-                base = affine[cur]
-                trail = trail[: on_trail[cur]]
-                break
-            on_trail[cur] = len(trail)
-            trail.append(cur)
-            cur = walk_succ[cur]
-        for v in reversed(trail):
-            s = escape_value.get(v)
-            if s is None:
-                affine[v] = base
-            else:
-                c, gamma, f = base
-                base = (HALF * (s + c), HALF * gamma, f)
-                affine[v] = base
-
-    for v in sorted(comp & reaches):
-        if v not in affine and v not in forks:
-            resolve_chain(v)
-
-    fork_list = sorted(forks & reaches)
-    if fork_list:
-        index = {f: i for i, f in enumerate(fork_list)}
-        k = len(fork_list)
-        matrix = [[ZERO] * k for _ in range(k)]
-        rhs = [ZERO] * k
-        for f in fork_list:
-            i = index[f]
-            matrix[i][i] = Fraction(1)
-            for t in _sorted_cycle_targets(game, report, f):
-                c, gamma, g = (ZERO, Fraction(1), t) if t in forks else affine[t]
-                rhs[i] += HALF * c
-                if g is not None and gamma:
-                    matrix[i][index[g]] -= HALF * gamma
-        fork_values = solve_linear_system(matrix, rhs)
-        for f in fork_list:
-            values[f] = fork_values[index[f]]
-        for v, (c, gamma, f) in affine.items():
-            if values[v] is None:
-                values[v] = c + gamma * fork_values[index[f]] if gamma else c
-    else:
-        for v, (c, gamma, _) in affine.items():
-            if values[v] is None:
-                values[v] = c
-    return tuple(values)
-
-
-def _assign_cycle_values(
-    game: Game,
-    cycle: list[int],
-    escape_value: dict[int, Fraction],
-    values: list[Fraction | None],
-    affine: dict[int, tuple[Fraction, Fraction, int | None]],
-) -> None:
-    """Exact values along one fork-free cycle, by integer recurrence.
-
-    The cycle is given in walk order and contains at least one escaping
-    AVE vertex (it is reachable from an escape, and its walk never
-    leaves it).  Values share one denominator D = (2^l - 1) * q, so the
-    whole pass is integer arithmetic; consecutive escape-free vertices
-    share the same Fraction object.
-    """
-    starts = [v for v in cycle if v in escape_value]
-    if not starts:
-        raise InternalInvariantError("escape-free cycle classified as escaping")
-    first = min(starts)
-    at = cycle.index(first)
-    cycle = cycle[at:] + cycle[:at]
-
-    escapes = [escape_value[v] for v in cycle if v in escape_value]
-    count = len(escapes)
-    q = math.lcm(*(s.denominator for s in escapes))
-    full = (1 << count) - 1
-    denom = full * q
-    m = 0
-    for s in escapes:
-        m = 2 * m + s.numerator * (q // s.denominator)
-
-    first_m = m
-    current = Fraction(m, denom)
-    for i, v in enumerate(cycle):
-        values[v] = current
-        affine[v] = (current, ZERO, None)
-        s = escape_value.get(v)
-        if s is not None:
-            m = 2 * m - s.numerator * (q // s.denominator) * full
-            if i + 1 < len(cycle):
-                current = Fraction(m, denom)
-    if m != first_m:
-        raise InternalInvariantError("cycle value recurrence did not close")
+        if kind is not VertexKind.AVE:
+            chosen[v] = targets.pop()
+    return chain_values(game, chosen)
 
 
 def solve_almost_acyclic_scc(game: Game) -> ValueVector:
@@ -328,7 +189,6 @@ def solve_almost_acyclic_scc(game: Game) -> ValueVector:
     report = analyze(game)
     if report.k_p or report.k_a:
         raise PreconditionError("component is not a single cycle")
-    _require_one_cycle_component(game, report)
     w = closed_values(game, report)
     if check_local_optimality(game, w).satisfied:
         return w
@@ -422,7 +282,7 @@ def _positional_fork_component(cgame: Game) -> ValueVector:
     budget = ForkBudget(report.k_p, report.k_a, 0)
     forks = sorted(report.fork_positional)
     if not forks:
-        return _fork_free_recursion(cgame, budget)
+        return _average_fork_component(cgame, budget)
     pools = [_sorted_cycle_targets(cgame, report, v) for v in forks]
     for combo in itertools.product(*pools):
         sub = cgame

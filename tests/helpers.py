@@ -89,3 +89,50 @@ def hand_system(game: Game, report) -> dict[int, Fraction]:
                 matrix[i][index[s]] -= share
     sol = solve_linear_system(matrix, rhs)
     return {v: sol[index[v]] for v in cycle}
+
+
+def dense_evaluate(game: Game, sigma: Strategy, tau: Strategy) -> tuple[Fraction, ...]:
+    """Reference values of a total strategy pair, written as one dense
+    system with an equation per non-sink vertex.
+
+    Shares nothing with evaluation.evaluate but Gaussian elimination:
+    a vertex is pinned to 0 when a forward search over the arcs the
+    pair uses finds no positive sink, and every other non-sink vertex
+    equals the average over those arcs.
+    """
+    choice = {**sigma.choice, **tau.choice}
+    arcs = [(choice[v],) if v in choice else game.succs[v] for v in range(game.n)]
+
+    def reaches_positive(v: int) -> bool:
+        seen, stack = {v}, [v]
+        while stack:
+            u = stack.pop()
+            if game.is_sink(u):
+                if game.sink_value(u) > 0:
+                    return True
+                continue
+            for s in arcs[u]:
+                if s not in seen:
+                    seen.add(s)
+                    stack.append(s)
+        return False
+
+    rows = [v for v in range(game.n) if not game.is_sink(v)]
+    index = {v: i for i, v in enumerate(rows)}
+    matrix = [[Fraction(0)] * len(rows) for _ in rows]
+    rhs = [Fraction(0)] * len(rows)
+    for v in rows:
+        i = index[v]
+        matrix[i][i] = Fraction(1)
+        if not reaches_positive(v):
+            continue
+        share = Fraction(1, len(arcs[v]))
+        for s in arcs[v]:
+            if game.is_sink(s):
+                rhs[i] += share * game.sink_value(s)
+            else:
+                matrix[i][index[s]] -= share
+    sol = solve_linear_system(matrix, rhs) if rows else []
+    return tuple(
+        game.sink_value(v) if game.is_sink(v) else sol[index[v]] for v in range(game.n)
+    )

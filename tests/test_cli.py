@@ -140,6 +140,19 @@ def test_solve_make_stopping_flag(tmp_path, capsys):
     assert main(["solve", path, "--algorithm", "hk", "--make-stopping", "0"]) == 0
 
 
+def test_solve_make_stopping_reports_the_input_game(tmp_path, capsys):
+    game = game_of([("max", 1, 2), ("ave", 0, 3), ("sink", 0), ("sink", 1)])
+    path = write_game(tmp_path, game)
+    argv = ["solve", path, "--algorithm", "hk", "--make-stopping", "4", "--strategies"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "vertices: 4 (max 1, min 0, ave 1)" in out
+    assert [int(v) for v in re.findall(r"^  (\d+) = ", out, re.M)] == [0, 1, 2, 3]
+    # MAX keeps the arc into 1, which the transformed game routes
+    # through a coin chain whose head has an id past the input's
+    assert re.findall(r"^  max (\d+) -> (\d+)$", out, re.M) == [("0", "1")]
+
+
 def test_solve_internal_invariant_exit_code(tmp_path, capsys, monkeypatch):
     import ssg.cli as cli_module
 

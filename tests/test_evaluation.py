@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import all_pairs, game_stream, random_pair
+from helpers import all_pairs, dense_evaluate, game_stream, random_pair
 import random
 
-from ssg.dichotomy import value_denominator_bound
+from ssg import evaluation
+from ssg.dichotomy import make_stopping, value_denominator_bound
 from ssg.errors import PreconditionError
 from ssg.evaluation import (
     attractor,
@@ -21,6 +22,7 @@ from ssg.evaluation import (
     solve_linear_system,
     zero_set,
 )
+from ssg.generate import Family
 from ssg.model import Player, Strategy, game_of
 from ssg.oracle import enumerate_strategies, oracle_solve
 
@@ -186,3 +188,66 @@ def test_attractor_counts_duplicate_arcs():
     assert attractor(arcs, [1] * 5, [2]) == [True, True, True, False, True]
     need_all = [len(out) for out in arcs]
     assert attractor(arcs, need_all, [2]) == [True, False, True, False, False]
+
+
+def coincident_and_sink_arcs_game():
+    # both arcs of 1 go to 3, which can close the cycle 0 -> 1 -> 3 -> 0;
+    # both arcs of 6 and of 7 hit one sink; 2 flips between two sinks;
+    # 3 escapes to a sink; 4 forks; and 5 escapes to the value-0 trap
+    # {8, 9} when MIN keeps 8 on 9 and MAX keeps 9 on 8
+    return game_of([
+        ("max", 1, 2, 4),
+        ("ave", 3, 3),
+        ("ave", 10, 11),
+        ("ave", 0, 10),
+        ("ave", 5, 0),
+        ("ave", 4, 8),
+        ("ave", 11, 11),
+        ("ave", 10, 10),
+        ("min", 9, 6, 7),
+        ("max", 8, 5),
+        ("sink", Fraction(1, 3)),
+        ("sink", 0),
+    ])
+
+
+def test_evaluate_matches_a_dense_reference_system():
+    corpora = [
+        game_stream(12, family, min_n=low, max_n=high, seed=41, stopping=stopping)
+        for family, low, high in ((Family.RANDOM, 4, 9), (Family.SINGLE_CYCLE, 4, 12))
+        for stopping in (True, False)
+    ]
+    # dag_plus_k games are stopping by construction
+    corpora.append(game_stream(12, Family.DAG_PLUS_K, min_n=7, max_n=11, seed=41, k=2))
+    corpora.append(
+        [make_stopping(g, 3) for g in game_stream(8, max_n=6, seed=43, stopping=False)]
+    )
+    rng = random.Random(2024)
+    checked = 0
+    for corpus in corpora:
+        for g in corpus:
+            for _ in range(5):
+                sigma, tau = random_pair(g, rng)
+                assert evaluate(g, sigma, tau) == dense_evaluate(g, sigma, tau)
+                checked += 1
+    g = coincident_and_sink_arcs_game()
+    for sigma, tau in all_pairs(g):
+        assert evaluate(g, sigma, tau) == dense_evaluate(g, sigma, tau)
+        checked += 1
+    assert checked >= 300
+
+
+def test_evaluate_solves_fork_free_cycles_without_a_linear_system(monkeypatch):
+    dims = []
+    solve = evaluation.solve_linear_system
+
+    def recording(matrix, rhs):
+        dims.append(len(matrix))
+        return solve(matrix, rhs)
+
+    monkeypatch.setattr(evaluation, "solve_linear_system", recording)
+    ell = 300
+    g = game_of([("ave", (v + 1) % ell, ell) for v in range(ell)] + [("sink", Fraction(1, 3))])
+    values = evaluate(g, Strategy(Player.MAX, {}), Strategy(Player.MIN, {}))
+    assert sum(dims) == 0
+    assert all(value == Fraction(1, 3) for value in values)
