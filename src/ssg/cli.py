@@ -21,7 +21,7 @@ from .errors import (
     NotStoppingError,
     PreconditionError,
 )
-from .evaluation import greedy_strategies
+from .evaluation import greedy_strategies, require_stopping
 from .gamefile import parse, serialize
 from .generate import DEFAULT_PROPORTIONS, Family, GeneratorSpec, generate
 from .iteration import hoffman_karp
@@ -34,7 +34,7 @@ from .solvers import (
     solve_fork_fpt,
     solve_max_acyclic_scc,
 )
-from .structure import analyze, feedback_vertex_set
+from .structure import feedback_vertex_set
 
 FORK_WEIGHT_LIMIT = 10
 FEEDBACK_SIZE_LIMIT = 3
@@ -63,7 +63,7 @@ class _Counting:
 
 def choose_algorithm(game: Game) -> str:
     """The AUTO dispatch order, cheapest structure first."""
-    report = analyze(game)
+    report = game.structure
     if report.is_acyclic:
         return "acyclic"
     if report.k_p == 0 and report.k_a == 0:
@@ -92,6 +92,7 @@ def _dichotomy(game: Game):
 
 
 def _feedback(game: Game):
+    require_stopping(game)  # refuse before the exponential set search
     counter = _Counting(solve_acyclic)
     values = solve_feedback(game, feedback_vertex_set(game), counter)
     return values, None, counter.calls
@@ -171,13 +172,9 @@ def solve_command(args: argparse.Namespace) -> int:
 
 def classify_command(args: argparse.Namespace) -> int:
     game = _load(args.file)
-    report = analyze(game)
+    report = game.structure
     n_sink = game.n - game.n_max - game.n_min - game.n_ave
-    cyclic = sum(
-        1
-        for comp in report.components
-        if len(comp) > 1 or comp[0] in game.succs[comp[0]] and not game.is_sink(comp[0])
-    )
+    cyclic = len({report.component_of[x] for x, _ in report.cycle_arcs})
     print(
         f"vertices: {game.n} (max {game.n_max}, min {game.n_min}, "
         f"ave {game.n_ave}, sink {n_sink})"

@@ -10,7 +10,9 @@ one; MAX maximises the expectation, MIN minimises it.
 Vertex ids are stable at the API boundary: sink substitutions and sink
 merging keep the numbering of the input game, and every public solver
 returns values in it.  Component subgames are compact, renumbered in
-original id order; solve_by_scc maps their values back.
+original id order; solve_by_scc maps their values back.  Games are
+immutable, so game.structure analyses a game on first use and keeps the
+report: each game object is analysed at most once.
 """
 
 from __future__ import annotations
@@ -88,6 +90,13 @@ class Game:
 
     def vertices_of(self, kind: VertexKind) -> tuple[int, ...]:
         return tuple(v for v, k in enumerate(self.kinds) if k is kind)
+
+    @cached_property
+    def structure(self):
+        """structure.analyze(self), computed on first use."""
+        from .structure import analyze  # looked up per call; structure imports model
+
+        return analyze(self)
 
     @cached_property
     def max_vertices(self) -> tuple[int, ...]:

@@ -25,7 +25,7 @@ from .evaluation import (
 )
 from .iteration import all_open_strategy, hoffman_karp
 from .model import Game, ValueVector, VertexKind, argbest, merge_sink_neighbors
-from .structure import StructureReport, analyze, component_game, topological_order
+from .structure import StructureReport, component_game, topological_order
 
 ZERO = Fraction(0)
 
@@ -57,7 +57,7 @@ def solve_by_scc(game: Game, component_solver) -> ValueVector:
     compact component game; its values map back through the id map.
     Sinks and non-cyclic singletons are folded in directly.
     """
-    report = analyze(game)
+    report = game.structure
     values: list[Fraction | None] = [None] * game.n
     solved: dict[int, Fraction] = {}
     for comp in report.components:
@@ -89,7 +89,7 @@ def _require_one_cycle_component(game: Game, report: StructureReport) -> None:
     Every non-sink vertex must belong to a single cyclic component
     (frontier sinks aside).
     """
-    on_cycles = {v for arc in report.cycle_arcs for v in arc}
+    on_cycles = {v for v, targets in enumerate(report.cycle_succs) if targets}
     nonsinks = {v for v, kind in enumerate(game.kinds) if kind is not VertexKind.SINK}
     if nonsinks != on_cycles:
         raise PreconditionError(
@@ -107,7 +107,7 @@ def solve_max_acyclic_scc(game: Game) -> ValueVector:
     the all-open start provably needs at most one improvement step per
     MAX vertex; that bound is asserted.
     """
-    report = analyze(game)
+    report = game.structure
     _require_one_cycle_component(game, report)
     if not report.is_max_acyclic:
         raise PreconditionError("a MAX vertex has two outgoing cycle arcs")
@@ -122,34 +122,50 @@ def solve_max_acyclic_scc(game: Game) -> ValueVector:
     return trace.values
 
 
-def _sorted_cycle_targets(
-    game: Game, report: StructureReport, v: int
-) -> list[int]:
-    return sorted({s for s in game.succs[v] if (v, s) in report.cycle_arcs})
-
-
-def _escape_targets(game: Game, report: StructureReport, v: int) -> list[int]:
-    cyc = {s for s in game.succs[v] if (v, s) in report.cycle_arcs}
-    return sorted(set(game.succs[v]) - cyc)
-
-
 def _with_succs(game: Game, v: int, succs: tuple[int, ...]) -> Game:
     new_succs = list(game.succs)
     new_succs[v] = succs
     return game.replace(succs=tuple(new_succs))
 
 
+def _escape(game: Game, report: StructureReport, v: int, kind: VertexKind) -> int | None:
+    """The best arc out of the cycle of a `kind` vertex v, or None when
+    v is of another kind or has none.  Escapes lead to sinks: real ones
+    or solved frontier vertices."""
+    if game.kinds[v] is not kind:
+        return None
+    escapes = sorted(set(game.succs[v]).difference(report.cycle_succs[v]))
+    return argbest(kind, escapes, game.sink_values) if escapes else None
+
+
 def _opened(game: Game, report: StructureReport, v: int, kind: VertexKind) -> Game:
-    # escapes are sinks: real ones or solved frontier vertices
-    escape = argbest(kind, _escape_targets(game, report, v), game.sink_values)
-    return _with_succs(game, v, (escape,))
+    return _with_succs(game, v, (_escape(game, report, v, kind),))
+
+
+def _first_opened(
+    opened: Game, report: StructureReport, kind: VertexKind, values: ValueVector,
+    start: int, stop: set[int],
+) -> int | None:
+    """First `kind` vertex from start on, following cycle arcs and
+    halting at a vertex in stop, whose best arc in the opened game
+    under the given values leaves the cycle."""
+    cur = start
+    for _ in range(opened.n + 1):
+        if cur in stop:
+            return None
+        targets = report.cycle_succs[cur]
+        if opened.kinds[cur] is kind and argbest(kind, opened.succs[cur], values) not in targets:
+            return cur
+        if not targets:
+            return None
+        cur = targets[0]
+    return None
 
 
 def closed_values(game: Game, report: StructureReport) -> ValueVector:
     """Values when every positional vertex keeps the play inside.
 
-    The report must be analyze(game); callers hand theirs down so that
-    each component game is analysed once.
+    The report must be the game's own, game.structure.
 
     With positional choices committed to their one cycle arc the play
     is a Markov chain that only leaves through the coin flips of AVE
@@ -165,13 +181,13 @@ def closed_values(game: Game, report: StructureReport) -> ValueVector:
     for v, kind in enumerate(game.kinds):
         if kind is VertexKind.SINK or v in report.fork_average:
             continue
-        targets = {s for s in game.succs[v] if (v, s) in report.cycle_arcs}
+        targets = report.cycle_succs[v]
         if len(targets) != 1:
             raise InternalInvariantError(
                 f"vertex {v} has {len(targets)} cycle arcs in a fork-free walk"
             )
         if kind is not VertexKind.AVE:
-            chosen[v] = targets.pop()
+            chosen[v] = targets[0]
     return chain_values(game, chosen)
 
 
@@ -186,7 +202,7 @@ def solve_almost_acyclic_scc(game: Game) -> ValueVector:
     same on the MIN side.  For single cycles one of the three steps
     always lands.
     """
-    report = analyze(game)
+    report = game.structure
     if report.k_p or report.k_a:
         raise PreconditionError("component is not a single cycle")
     w = closed_values(game, report)
@@ -210,25 +226,14 @@ def solve_almost_acyclic_scc(game: Game) -> ValueVector:
 def _single_cycle_probe(
     game: Game, report: StructureReport, kind: VertexKind
 ) -> ValueVector | None:
-    walk_succ = {x: y for x, y in report.cycle_arcs}
-
-    def can_open(v: int) -> bool:
-        return game.kinds[v] is kind and bool(_escape_targets(game, report, v))
-
-    openable = sorted(v for v in walk_succ if can_open(v))
+    openable = [v for v in range(game.n) if _escape(game, report, v, kind) is not None]
     if not openable:
         return None
     x = openable[0]
-    w1 = solve_acyclic(_opened(game, report, x, kind))
-
-    y = x
-    cur = walk_succ[x]
-    while cur != x:
-        if can_open(cur) and argbest(kind, game.succs[cur], w1) != walk_succ[cur]:
-            y = cur
-            break
-        cur = walk_succ[cur]
-    w2 = w1 if y == x else solve_acyclic(_opened(game, report, y, kind))
+    sub = _opened(game, report, x, kind)
+    w1 = solve_acyclic(sub)
+    y = _first_opened(sub, report, kind, w1, report.cycle_succs[x][0], {x})
+    w2 = w1 if y is None else solve_acyclic(_opened(game, report, y, kind))
     if check_local_optimality(game, w2).satisfied:
         return w2
     return None
@@ -278,20 +283,17 @@ def solve_fork_fpt(game: Game) -> ValueVector:
 
 
 def _positional_fork_component(cgame: Game) -> ValueVector:
-    report = analyze(cgame)
+    report = cgame.structure
     budget = ForkBudget(report.k_p, report.k_a, 0)
     forks = sorted(report.fork_positional)
     if not forks:
         return _average_fork_component(cgame, budget)
-    pools = [_sorted_cycle_targets(cgame, report, v) for v in forks]
+    pools = [report.cycle_succs[v] for v in forks]
     for combo in itertools.product(*pools):
         sub = cgame
         for v, keep in zip(forks, combo):
-            kept = tuple(
-                s
-                for s in sub.succs[v]
-                if (v, s) not in report.cycle_arcs or s == keep
-            )
+            cycle = report.cycle_succs[v]
+            kept = tuple(s for s in sub.succs[v] if s not in cycle or s == keep)
             sub = _with_succs(sub, v, kept)
         w = _fork_free_recursion(sub, budget)
         if check_local_optimality(cgame, w).satisfied:
@@ -316,7 +318,7 @@ def _average_fork_component(cgame: Game, budget: ForkBudget) -> ValueVector:
     fork).  Each nomination costs one recursive solve; local optimality
     in this component decides acceptance.
     """
-    report = analyze(cgame)
+    report = cgame.structure
     if report.k_p:
         raise InternalInvariantError("positional fork inside the fork-free recursion")
     if report.k_a == 0:
@@ -337,13 +339,10 @@ def _fork_opening_pass(
 ) -> ValueVector | None:
     forks = sorted(report.fork_average)
     fork_set = set(forks)
-
-    def can_open(v: int) -> bool:
-        return cgame.kinds[v] is kind and bool(_escape_targets(cgame, report, v))
-
     cycle_preds: dict[int, list[int]] = {}
-    for a, b in report.cycle_arcs:
-        cycle_preds.setdefault(b, []).append(a)
+    for a, targets in enumerate(report.cycle_succs):
+        for b in targets:
+            cycle_preds.setdefault(b, []).append(a)
 
     opener = None
     for f in forks:
@@ -352,14 +351,13 @@ def _fork_opening_pass(
         while frontier and opener is None:
             layer: list[int] = []
             for v in frontier:
-                for p in sorted(cycle_preds.get(v, ())):
+                for p in cycle_preds.get(v, ()):
                     if p not in seen and p not in fork_set:
                         seen.add(p)
                         layer.append(p)
-            for p in sorted(layer):
-                if can_open(p):
-                    opener = p
-                    break
+            opener = next(
+                (p for p in sorted(layer) if _escape(cgame, report, p, kind) is not None), None
+            )
             frontier = layer
         if opener is not None:
             break
@@ -367,46 +365,20 @@ def _fork_opening_pass(
         return None
 
     sub1 = _opened(cgame, report, opener, kind)
-    w1 = _fork_free_recursion(sub1, budget.descend(analyze(sub1).k_a))
+    w1 = _fork_free_recursion(sub1, budget.descend(sub1.structure.k_a))
     if check_local_optimality(cgame, w1).satisfied:
         return w1
 
-    # vertices the sub-solution actually opens
-    opened = set()
-    for v in sorted(cgame.vertices_of(kind)):
-        choice = argbest(kind, sub1.succs[v], w1)
-        if (v, choice) not in report.cycle_arcs:
-            opened.add(v)
-
-    walk_succ: dict[int, int] = {}
-    for v in range(cgame.n):
-        if cgame.is_sink(v) or v in fork_set:
-            continue
-        targets = _sorted_cycle_targets(cgame, report, v)
-        if targets:
-            walk_succ[v] = targets[0]
-
-    candidates: list[int] = []
+    # next, the first vertex downstream of each fork that w1 opens
+    tried = {opener}
     for f in forks:
-        for start in _sorted_cycle_targets(cgame, report, f):
-            cur = start
-            steps = 0
-            while cur not in fork_set and steps <= cgame.n:
-                if cur in opened:
-                    if cur not in candidates:
-                        candidates.append(cur)
-                    break
-                nxt = walk_succ.get(cur)
-                if nxt is None:
-                    break
-                cur = nxt
-                steps += 1
-
-    for c in candidates:
-        if c == opener:
-            continue
-        sub = _opened(cgame, report, c, kind)
-        w = _fork_free_recursion(sub, budget.descend(analyze(sub).k_a))
-        if check_local_optimality(cgame, w).satisfied:
-            return w
+        for start in report.cycle_succs[f]:
+            c = _first_opened(sub1, report, kind, w1, start, fork_set)
+            if c is None or c in tried:
+                continue
+            tried.add(c)
+            sub = _opened(cgame, report, c, kind)
+            w = _fork_free_recursion(sub, budget.descend(sub.structure.k_a))
+            if check_local_optimality(cgame, w).satisfied:
+                return w
     return None

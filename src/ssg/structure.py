@@ -94,6 +94,7 @@ class StructureReport:
         components: SCCs, successors-first (arcs leave a component only
             into earlier ones); sinks are singletons.
         component_of: component index of each vertex.
+        cycle_succs: each vertex's distinct cycle-arc targets, sorted.
         cycle_arcs: set of (x, y) arcs lying on a sink-free cycle.
         fork_positional: positional vertices with >= 2 cycle arcs,
             mapped to their cycle-arc count (distinct targets).
@@ -104,6 +105,7 @@ class StructureReport:
 
     components: tuple[tuple[int, ...], ...]
     component_of: tuple[int, ...]
+    cycle_succs: tuple[tuple[int, ...], ...]
     cycle_arcs: frozenset[tuple[int, int]]
     fork_positional: Mapping[int, int]
     fork_average: Mapping[int, int]
@@ -115,10 +117,6 @@ class StructureReport:
     @property
     def is_acyclic(self) -> bool:
         return not self.cycle_arcs
-
-    @property
-    def is_pos_acyclic(self) -> bool:
-        return not self.fork_positional
 
     @property
     def is_almost_acyclic(self) -> bool:
@@ -139,31 +137,25 @@ def analyze(game: Game) -> StructureReport:
         if not sink[v] and v in game.succs[v]:
             cyclic_component[component_of[v]] = True
 
-    cycle_arcs = set()
+    cycle_succs: list[tuple[int, ...]] = [()] * game.n
     for v in range(game.n):
         c = component_of[v]
         if sink[v] or not cyclic_component[c]:
             continue
-        for s in set(game.succs[v]):
-            if not sink[s] and component_of[s] == c:
-                cycle_arcs.add((v, s))
+        cycle_succs[v] = tuple(
+            sorted({s for s in game.succs[v] if not sink[s] and component_of[s] == c})
+        )
 
-    out_count: dict[int, int] = {}
-    for x, _ in cycle_arcs:
-        out_count[x] = out_count.get(x, 0) + 1
-
-    fork_positional = {
-        v: c for v, c in sorted(out_count.items()) if c >= 2 and game.is_positional(v)
-    }
-    fork_average = {
-        v: c
-        for v, c in sorted(out_count.items())
-        if c >= 2 and game.kinds[v] is VertexKind.AVE
-    }
+    fork_positional, fork_average = {}, {}
+    for v, targets in enumerate(cycle_succs):
+        if len(targets) >= 2:
+            forks = fork_average if game.kinds[v] is VertexKind.AVE else fork_positional
+            forks[v] = len(targets)
     return StructureReport(
         components=tuple(tuple(c) for c in comps),
         component_of=tuple(component_of),
-        cycle_arcs=frozenset(cycle_arcs),
+        cycle_succs=tuple(cycle_succs),
+        cycle_arcs=frozenset((v, s) for v, targets in enumerate(cycle_succs) for s in targets),
         fork_positional=fork_positional,
         fork_average=fork_average,
         k_p=sum(c - 1 for c in fork_positional.values()),

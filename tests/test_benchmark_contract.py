@@ -9,8 +9,10 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from ssg import structure
 from ssg.cli import RunReport
 from ssg.iteration import HKTrace
+from ssg.model import game_of
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -36,3 +38,22 @@ def test_every_traced_layer_exists():
 def test_traced_results_keep_their_work_counts():
     assert {"iterations", "subsolver_calls"} <= {f.name for f in dataclasses.fields(RunReport)}
     assert "iterations" in {f.name for f in dataclasses.fields(HKTrace)}
+
+
+def test_game_structure_goes_through_the_traced_analyze_once(monkeypatch):
+    # the tracer counts analyses by rebinding structure.analyze, so the
+    # cache on the game must look it up there, and only on first use
+    calls = []
+    analyze = structure.analyze
+
+    def counting(game):
+        calls.append(game)
+        return analyze(game)
+
+    monkeypatch.setattr(structure, "analyze", counting)
+    g = game_of([("ave", 1, 2), ("ave", 0, 3), ("sink", 0), ("sink", 1)])
+    first = g.structure
+    assert calls == [g]
+    assert g.structure is first
+    assert calls == [g]
+    assert first == analyze(g)

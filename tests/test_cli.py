@@ -130,6 +130,19 @@ def test_solve_non_stopping_suggests_transform(tmp_path, capsys):
     assert "refused" in err and "--make-stopping" in err
 
 
+def test_feedback_refuses_a_non_stopping_game_before_its_set_search(
+    tmp_path, capsys, monkeypatch
+):
+    def no_search(*args):
+        raise AssertionError("feedback set searched for a game about to be refused")
+
+    monkeypatch.setattr(cli, "feedback_vertex_set", no_search)
+    path = write_game(tmp_path, trap_game())
+    assert main(["solve", path, "--algorithm", "feedback"]) == 2
+    err = capsys.readouterr().err
+    assert "refused" in err and "not stopping" in err
+
+
 def test_solve_make_stopping_flag(tmp_path, capsys):
     path = write_game(tmp_path, trap_game())
     assert main(["solve", path, "--algorithm", "hk", "--make-stopping", "8"]) == 0

@@ -5,11 +5,11 @@ from fractions import Fraction
 import pytest
 
 from helpers import closed_profile, game_stream, hand_system
-from ssg import solvers
+from ssg import structure
 from ssg.cli import run_algorithm
 from ssg.errors import InternalInvariantError, NotStoppingError, PreconditionError
 from ssg.evaluation import evaluate, greedy_strategies
-from ssg.generate import Family
+from ssg.generate import Family, GeneratorSpec, generate
 from ssg.model import VertexKind, game_of
 from ssg.oracle import oracle_solve
 from ssg.solvers import (
@@ -126,22 +126,39 @@ def cycle_chain(blocks: int):
     return game_of(rows + [("sink", F(1, 3))])
 
 
+def record_analyses(monkeypatch) -> list:
+    """Every game that goes through structure.analyze, in call order."""
+    seen = []
+
+    def recording_analyze(game):
+        seen.append(game)
+        return analyze(game)
+
+    monkeypatch.setattr(structure, "analyze", recording_analyze)
+    return seen
+
+
 @pytest.mark.parametrize("blocks", [100, 1000])
 def test_auto_analyses_each_component_once_on_its_own(monkeypatch, blocks):
     # a count, not a clock: analysing a full-size game per component
     # would see about blocks * n vertices in total
-    seen = []
-
-    def recording_analyze(game):
-        seen.append(game.n)
-        return analyze(game)
-
-    monkeypatch.setattr(solvers, "analyze", recording_analyze)
+    seen = record_analyses(monkeypatch)
     g = cycle_chain(blocks)
     report = run_algorithm(g, "auto")
     assert report.algorithm == "almost_acyclic"
     assert report.values[0] == F(1, 3)
-    assert sum(seen) <= 4 * g.n
+    assert len(seen) == blocks + 1  # the game, then each component once
+    assert sum(game.n for game in seen) <= 4 * g.n
+
+
+@pytest.mark.parametrize("seed", [71, 117, 133])
+def test_fork_recursion_analyses_each_game_once(monkeypatch, seed):
+    # seed 133 opens AVE forks in nested recursions: 13 analyses of 10
+    # games when every layer analysed its game again
+    g = generate(GeneratorSpec(n=12, family=Family.DAG_PLUS_K, seed=seed, k=1))
+    seen = record_analyses(monkeypatch)
+    assert solve_fork_fpt(g) == oracle_solve(g).values
+    assert len(seen) == len({id(game) for game in seen}) >= 2
 
 
 # --- closed evaluation --------------------------------------------------

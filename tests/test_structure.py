@@ -89,7 +89,7 @@ def test_acyclic_flags():
     g = game_of([("ave", 1, 2), ("max", 2, 2), ("sink", 1)])
     report = analyze(g)
     assert report.is_acyclic
-    assert report.is_pos_acyclic and report.is_almost_acyclic
+    assert not report.fork_positional and report.is_almost_acyclic
     assert report.is_max_acyclic and report.is_min_acyclic
     assert report.cycle_arcs == frozenset()
     assert report.k_p == 0 and report.k_a == 0
