@@ -278,6 +278,16 @@ def _proportions(text: str) -> tuple[float, float, float, float]:
     return values
 
 
+def _non_negative(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is negative")
+    return value
+
+
 def _int_list(text: str) -> list[int]:
     try:
         return [int(p) for p in text.split(",") if p]
@@ -307,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     solve.add_argument(
         "--make-stopping",
-        type=int,
+        type=_non_negative,
         metavar="M",
         default=None,
         help="reroute arcs through M-step coin chains first (0 picks M automatically)",
@@ -316,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     classify = commands.add_parser("classify", help="report cycle structure")
     classify.add_argument("file")
-    classify.add_argument("--fvs-max", type=int, default=5, metavar="K")
+    classify.add_argument("--fvs-max", type=_non_negative, default=5, metavar="K")
     classify.set_defaults(run=classify_command)
 
     gen = commands.add_parser("generate", help="write a random game file")
@@ -340,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--solvers", type=_solver_list, required=True, metavar="S1,S2,..."
     )
     bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--reps", type=int, default=1)
+    bench.add_argument("--reps", type=_non_negative, default=1)
     bench.add_argument("--k", type=int, default=1)
     bench.add_argument(
         "--proportions",

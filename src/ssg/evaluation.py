@@ -11,11 +11,15 @@ forward to the first settled vertex or fork, so its value is affine in
 the value of at most one fork, an AVE vertex with two distinct
 unsettled successors.  A walk that closes a cycle without a fork is
 solved in closed form by an integer recurrence, and the forks alone
-solve an exact linear system over the rationals.
+solve an exact linear system over the rationals.  That system is built
+sparse, one dict row of at most three entries per fork, and eliminated
+in greedy Markowitz order (fewest holding rows first), so a chain of
+forks such as a coin chain folds without fill.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -114,47 +118,79 @@ def zero_set(game: Game, sigma: Strategy, tau: Strategy) -> frozenset[int]:
 
 
 def solve_linear_system(
-    matrix: list[list[Fraction]], rhs: list[Fraction]
+    rows: list[dict[int, Fraction]], rhs: list[Fraction]
 ) -> list[Fraction]:
-    """Solve A x = b exactly by Gaussian elimination.
+    """Solve A x = b exactly by sparse Gaussian elimination.
 
-    Pivoting picks, within the current column, the row whose entry has
-    the largest numerator in absolute value (smallest row index on
-    ties); with exact rationals this is purely for determinism.
-    Raises InternalInvariantError on a singular matrix.
+    rows[i] maps column j to A[i][j]; an absent column is a zero entry
+    and a zero entry is ignored.  A is square, of dimension len(rows).  Pivots follow a greedy Markowitz
+    order: at each step the column held by the fewest remaining rows
+    (smallest id on ties), pivoting on its shortest holding row
+    (smallest index on ties).  Entries that cancel are dropped, so a
+    chain of two-entry rows folds without fill.  A column -> holding
+    rows index keeps each step local to the pivot column, and a lazily
+    updated heap keyed by holder count picks the next column.  Back
+    substitution runs in reverse pivot order.  The inputs are not
+    modified.  Raises InternalInvariantError on a singular matrix.
     """
-    k = len(matrix)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(k):
-        pivot_row = -1
-        pivot_size = -1
-        for i in range(col, k):
-            entry = a[i][col]
-            if entry:
-                size = abs(entry.numerator)
-                if size > pivot_size:
-                    pivot_row, pivot_size = i, size
-        if pivot_row < 0:
+    k = len(rows)
+    a = [{j: entry for j, entry in row.items() if entry} for row in rows]
+    b = list(rhs)
+    holders: list[set[int]] = [set() for _ in range(k)]
+    for i, row in enumerate(a):
+        for j in row:
+            holders[j].add(i)
+    queue = [(len(h), j) for j, h in enumerate(holders)]
+    heapq.heapify(queue)
+    eliminated = [False] * k
+    pivots: list[tuple[int, int]] = []
+    while queue:
+        count, col = heapq.heappop(queue)
+        if eliminated[col] or count != len(holders[col]):
+            continue  # stale entry; the current count is queued too
+        if not count:
             raise InternalInvariantError("singular linear system")
-        if pivot_row != col:
-            a[col], a[pivot_row] = a[pivot_row], a[col]
-        pivot = a[col][col]
-        for i in range(col + 1, k):
-            factor = a[i][col]
-            if factor:
-                factor /= pivot
-                row_i, row_c = a[i], a[col]
-                for j in range(col, k + 1):
-                    if row_c[j]:
-                        row_i[j] -= factor * row_c[j]
+        piv = min(holders[col], key=lambda i: (len(a[i]), i))
+        prow = a[piv]
+        pval = prow[col]
+        pb = b[piv]
+        for i in holders[col] - {piv}:
+            row = a[i]
+            factor = row.pop(col) / pval
+            holders[col].discard(i)
+            for j, entry in prow.items():
+                if j == col:
+                    continue
+                old = row.get(j)
+                if old is None:
+                    row[j] = -factor * entry
+                    holders[j].add(i)
+                else:
+                    new = old - factor * entry
+                    if new:
+                        row[j] = new
+                    else:
+                        del row[j]
+                        holders[j].discard(i)
+            if pb:
+                b[i] -= factor * pb
+        for j in prow:
+            holders[j].discard(piv)
+        eliminated[col] = True
+        pivots.append((piv, col))
+        # only the pivot row's columns changed holders
+        for j in prow:
+            if j != col:
+                heapq.heappush(queue, (len(holders[j]), j))
+    if len(pivots) != k:
+        raise InternalInvariantError("linear solve lost a column from its queue")
     x = [ZERO] * k
-    for i in range(k - 1, -1, -1):
-        acc = a[i][k]
-        row = a[i]
-        for j in range(i + 1, k):
-            if row[j]:
-                acc -= row[j] * x[j]
-        x[i] = acc / row[i]
+    for piv, col in reversed(pivots):
+        acc = b[piv]
+        for j, entry in a[piv].items():
+            if j != col:
+                acc -= entry * x[j]
+        x[col] = acc / a[piv][col]
     return x
 
 
@@ -227,19 +263,23 @@ def chain_values(game: Game, chosen: Mapping[int, int]) -> ValueVector:
     if not forks:
         return tuple(c for c, _, _ in forms)
     index = {f: i for i, f in enumerate(forks)}
-    k = len(forks)
-    matrix = [[ZERO] * k for _ in range(k)]
-    rhs = [ZERO] * k
-    # row of fork f, doubled: 2 value(f) - form(t1) - form(t2) = 0
-    for i, f in enumerate(forks):
-        matrix[i][i] = TWO
+    rows: list[dict[int, Fraction]] = []
+    rhs: list[Fraction] = []
+    # row of fork f, doubled: 2 value(f) - form(t1) - form(t2) = 0, with
+    # at most three entries; solve_linear_system drops any that cancel
+    for f in forks:
+        row = {index[f]: TWO}
+        b = ZERO
         for t in game.succs[f]:
             c, gamma, g = forms[t]
             if c:
-                rhs[i] += c
+                b += c
             if gamma:
-                matrix[i][index[g]] -= gamma
-    x = solve_linear_system(matrix, rhs)
+                j = index[g]
+                row[j] = row.get(j, ZERO) - gamma
+        rows.append(row)
+        rhs.append(b)
+    x = solve_linear_system(rows, rhs)
     return tuple(c + gamma * x[index[f]] if gamma else c for c, gamma, f in forms)
 
 

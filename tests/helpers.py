@@ -5,7 +5,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from ssg.evaluation import check_stopping, solve_linear_system
+from ssg.errors import InternalInvariantError
+from ssg.evaluation import check_stopping
 from ssg.generate import Family, GeneratorSpec, generate
 from ssg.model import Game, Player, Strategy, VertexKind
 
@@ -67,6 +68,50 @@ def closed_profile(game: Game, report) -> tuple[Strategy, Strategy]:
     return Strategy(Player.MAX, max_choice), Strategy(Player.MIN, min_choice)
 
 
+def dense_solve(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
+    """Solve A x = b exactly by dense Gaussian elimination.
+
+    The tests' own eliminator, kept apart from evaluation's sparse
+    kernel so that reference values share no code with it.  Pivoting
+    picks, within the current column, the row whose entry has the
+    largest numerator in absolute value (smallest row index on ties).
+    Raises InternalInvariantError on a singular matrix.
+    """
+    k = len(matrix)
+    a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
+    for col in range(k):
+        pivot_row = -1
+        pivot_size = -1
+        for i in range(col, k):
+            entry = a[i][col]
+            if entry:
+                size = abs(entry.numerator)
+                if size > pivot_size:
+                    pivot_row, pivot_size = i, size
+        if pivot_row < 0:
+            raise InternalInvariantError("singular linear system")
+        if pivot_row != col:
+            a[col], a[pivot_row] = a[pivot_row], a[col]
+        pivot = a[col][col]
+        for i in range(col + 1, k):
+            factor = a[i][col]
+            if factor:
+                factor /= pivot
+                row_i, row_c = a[i], a[col]
+                for j in range(col, k + 1):
+                    if row_c[j]:
+                        row_i[j] -= factor * row_c[j]
+    x = [Fraction(0)] * k
+    for i in range(k - 1, -1, -1):
+        acc = a[i][k]
+        row = a[i]
+        for j in range(i + 1, k):
+            if row[j]:
+                acc -= row[j] * x[j]
+        x[i] = acc / row[i]
+    return x
+
+
 def hand_system(game: Game, report) -> dict[int, Fraction]:
     """Cycle values written out as a plain linear system."""
     cycle = sorted({v for v, _ in report.cycle_arcs})
@@ -87,7 +132,7 @@ def hand_system(game: Game, report) -> dict[int, Fraction]:
                 rhs[i] += share * game.sink_value(s)
             else:
                 matrix[i][index[s]] -= share
-    sol = solve_linear_system(matrix, rhs)
+    sol = dense_solve(matrix, rhs)
     return {v: sol[index[v]] for v in cycle}
 
 
@@ -95,10 +140,10 @@ def dense_evaluate(game: Game, sigma: Strategy, tau: Strategy) -> tuple[Fraction
     """Reference values of a total strategy pair, written as one dense
     system with an equation per non-sink vertex.
 
-    Shares nothing with evaluation.evaluate but Gaussian elimination:
-    a vertex is pinned to 0 when a forward search over the arcs the
-    pair uses finds no positive sink, and every other non-sink vertex
-    equals the average over those arcs.
+    Shares no code with evaluation.evaluate: it solves with
+    dense_solve, a vertex is pinned to 0 when a forward search over the
+    arcs the pair uses finds no positive sink, and every other non-sink
+    vertex equals the average over those arcs.
     """
     choice = {**sigma.choice, **tau.choice}
     arcs = [(choice[v],) if v in choice else game.succs[v] for v in range(game.n)]
@@ -132,7 +177,7 @@ def dense_evaluate(game: Game, sigma: Strategy, tau: Strategy) -> tuple[Fraction
                 rhs[i] += share * game.sink_value(s)
             else:
                 matrix[i][index[s]] -= share
-    sol = solve_linear_system(matrix, rhs) if rows else []
+    sol = dense_solve(matrix, rhs) if rows else []
     return tuple(
         game.sink_value(v) if game.is_sink(v) else sol[index[v]] for v in range(game.n)
     )

@@ -153,6 +153,14 @@ def test_solve_make_stopping_flag(tmp_path, capsys):
     assert main(["solve", path, "--algorithm", "hk", "--make-stopping", "0"]) == 0
 
 
+def test_solve_rejects_a_negative_chain_length_as_input_error(tmp_path, capsys):
+    path = write_game(tmp_path, trap_game())
+    assert main(["solve", path, "--algorithm", "hk", "--make-stopping", "-3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "-3 is negative" in captured.err
+
+
 def test_solve_make_stopping_reports_the_input_game(tmp_path, capsys):
     game = game_of([("max", 1, 2), ("ave", 0, 3), ("sink", 0), ("sink", 1)])
     path = write_game(tmp_path, game)
@@ -212,6 +220,14 @@ def test_classify_fvs_cap(tmp_path, capsys):
     path = write_game(tmp_path, g)
     assert main(["classify", path, "--fvs-max", "1"]) == 0
     assert "feedback vertex set: none of size <= 1" in capsys.readouterr().out
+
+
+def test_classify_rejects_a_negative_fvs_cap(tmp_path, capsys):
+    path = write_game(tmp_path, cycle_game())
+    assert main(["classify", path, "--fvs-max", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "-1 is negative" in captured.err
 
 
 # --- generate -----------------------------------------------------------------
@@ -301,6 +317,14 @@ def test_bench_marks_refusals(capsys):
     rows = [line for line in out.splitlines() if line.startswith("#row ")]
     assert len(rows) == 3
     assert all("status=refused" in line for line in rows)
+
+
+def test_bench_rejects_negative_reps(capsys):
+    argv = ["bench", "--family", "single_cycle", "--sizes", "6", "--solvers", "auto"]
+    assert main(argv + ["--reps", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "-1 is negative" in captured.err
 
 
 # --- one solver list ------------------------------------------------------------

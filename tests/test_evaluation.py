@@ -4,12 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import all_pairs, dense_evaluate, game_stream, random_pair
+from helpers import all_pairs, dense_evaluate, dense_solve, game_stream, random_pair
 import random
 
 from ssg import evaluation
 from ssg.dichotomy import make_stopping, value_denominator_bound
-from ssg.errors import PreconditionError
+from ssg.errors import InternalInvariantError, PreconditionError
 from ssg.evaluation import (
     attractor,
     best_response_max,
@@ -22,7 +22,8 @@ from ssg.evaluation import (
     solve_linear_system,
     zero_set,
 )
-from ssg.generate import Family
+from ssg.generate import Family, GeneratorSpec, generate
+from ssg.iteration import hoffman_karp
 from ssg.model import Player, Strategy, game_of
 from ssg.oracle import enumerate_strategies, oracle_solve
 
@@ -155,23 +156,116 @@ def test_check_stopping():
 
 def test_solve_linear_system_small():
     # x - y/2 = 1/2, y - x/2 = 0  =>  x = 2/3, y = 1/3
-    matrix = [
-        [Fraction(1), Fraction(-1, 2)],
-        [Fraction(-1, 2), Fraction(1)],
+    rows = [
+        {0: Fraction(1), 1: Fraction(-1, 2)},
+        {0: Fraction(-1, 2), 1: Fraction(1)},
     ]
     rhs = [Fraction(1, 2), Fraction(0)]
-    assert solve_linear_system(matrix, rhs) == [Fraction(2, 3), Fraction(1, 3)]
+    assert solve_linear_system(rows, rhs) == [Fraction(2, 3), Fraction(1, 3)]
 
 
 def test_solve_linear_system_rejects_singular():
-    from ssg.errors import InternalInvariantError
-
-    matrix = [
-        [Fraction(1), Fraction(-1)],
-        [Fraction(2), Fraction(-2)],
+    rows = [
+        {0: Fraction(1), 1: Fraction(-1)},
+        {0: Fraction(2), 1: Fraction(-2)},
     ]
     with pytest.raises(InternalInvariantError):
-        solve_linear_system(matrix, [Fraction(0), Fraction(0)])
+        solve_linear_system(rows, [Fraction(0), Fraction(0)])
+
+
+def _random_entry(rng, denominators):
+    return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.choice(denominators))
+
+
+def _random_sparse_system(rng, case):
+    """A random square system as (rows, rhs), shaped by case."""
+    k = rng.randint(3 if case == 3 else 1, 14)
+    denominators = (1, 2, 4, 8, 16) if case % 2 else (1, 3, 5, 7, 9, 15)
+    rows = []
+    for i in range(k):
+        row = {i: _random_entry(rng, denominators)}
+        for j in rng.sample(range(k), min(k, rng.randint(0, 2))):
+            row[j] = _random_entry(rng, denominators)
+        rows.append(row)
+    if case == 2 and k > 1:
+        # a coin chain: 2 x_i - x_(i+1) = 0 along a block, closed by
+        # the block's last row, which leans on a random column
+        lo = rng.randrange(k - 1)
+        for i in range(lo, k - 1):
+            rows[i] = {i: Fraction(2), i + 1: Fraction(-1)}
+    if case == 3:
+        # g1 is f * g0 plus an entry in column r.  Only g0 and g1 hold
+        # column p, q has at least three holders and r has a larger id,
+        # so p pivots first, on the shorter g0, and cancels g1's q entry
+        p, q, r = sorted(rng.sample(range(k), 3))
+        g0, g1, g2 = rng.sample(range(k), 3)
+        free_rows = [i for i in range(k) if i not in (g0, g1, g2)]
+        free_cols = [j for j in range(k) if j not in (p, q, r)]
+        for i, j in zip(free_rows, free_cols):
+            rows[i] = {c: e for c, e in rows[i].items() if c not in (p, q, r)}
+            rows[i][j] = _random_entry(rng, denominators)
+            if rng.random() < 0.5:
+                rows[i][q] = _random_entry(rng, denominators)
+        x, y, z, u, w, f = (_random_entry(rng, denominators) for _ in range(6))
+        rows[g0] = {p: x, q: y}
+        rows[g1] = {p: f * x, q: f * y, r: z}
+        rows[g2] = {q: u, r: w}
+    if case == 4:
+        # a column no row holds
+        gone = rng.randrange(k)
+        rows = [{j: e for j, e in row.items() if j != gone} for row in rows]
+    if case == 5 and k > 1:
+        # two dependent rows
+        a, b = rng.sample(range(k), 2)
+        factor = _random_entry(rng, denominators)
+        rows[b] = {j: factor * entry for j, entry in rows[a].items()}
+    rhs = [_random_entry(rng, denominators) if rng.random() < 0.7 else Fraction(0) for _ in rows]
+    return rows, rhs
+
+
+def _outcome(solve, *args):
+    try:
+        return solve(*args)
+    except InternalInvariantError as exc:
+        return str(exc)
+
+
+def test_solve_linear_system_matches_a_dense_eliminator_on_random_sparse_systems():
+    rng = random.Random(8)
+    seen = {"solved": 0, "singular": 0}
+    for trial in range(300):
+        case = trial % 6
+        rows, rhs = _random_sparse_system(rng, case)
+        k = len(rows)
+        matrix = [[row.get(j, Fraction(0)) for j in range(k)] for row in rows]
+        before = [dict(row) for row in rows], list(rhs)
+        expected = _outcome(dense_solve, matrix, rhs)
+        found = _outcome(solve_linear_system, rows, rhs)
+        assert found == expected, (case, rows, rhs)
+        assert (rows, rhs) == before
+        if case in (4, 5) and k > 1:
+            assert found == "singular linear system"
+        seen["singular" if isinstance(found, str) else "solved"] += 1
+    assert seen["solved"] >= 150 and seen["singular"] >= 80
+
+
+def test_solve_linear_system_refuses_to_lose_a_column(monkeypatch):
+    # without re-queueing, column 2's count drops from 2 to 1 and its
+    # only queue entry goes stale; the solve must not return x_2 = 0
+    import heapq
+    import types
+
+    lossy = types.SimpleNamespace(
+        heapify=heapq.heapify, heappop=heapq.heappop, heappush=lambda queue, item: None
+    )
+    monkeypatch.setattr(evaluation, "heapq", lossy)
+    rows = [
+        {0: Fraction(2), 1: Fraction(-1)},
+        {1: Fraction(2), 2: Fraction(-1)},
+        {2: Fraction(2), 0: Fraction(-1)},
+    ]
+    with pytest.raises(InternalInvariantError, match="lost a column"):
+        solve_linear_system(rows, [Fraction(1), Fraction(0), Fraction(0)])
 
 
 def test_evaluate_agrees_with_minimax_on_optimal_pair():
@@ -251,3 +345,52 @@ def test_evaluate_solves_fork_free_cycles_without_a_linear_system(monkeypatch):
     values = evaluate(g, Strategy(Player.MAX, {}), Strategy(Player.MIN, {}))
     assert sum(dims) == 0
     assert all(value == Fraction(1, 3) for value in values)
+
+
+def _fork_count(game, chosen):
+    """AVE vertices with two distinct successors that are neither sinks
+    nor cut off from every positive sink under the chosen arcs."""
+    preds = [[] for _ in range(game.n)]
+    for v, out in enumerate(game.succs):
+        for s in (chosen[v],) if v in chosen else out:
+            preds[s].append(v)
+    stack = [v for v in game.sink_vertices if game.sink_value(v) > 0]
+    reaches = set(stack)
+    while stack:
+        for p in preds[stack.pop()]:
+            if p not in reaches:
+                reaches.add(p)
+                stack.append(p)
+
+    def unsettled(v):
+        return not game.is_sink(v) and v in reaches
+
+    return sum(
+        1
+        for v in game.ave_vertices
+        if unsettled(v) and len(set(game.succs[v])) == 2 and all(map(unsettled, game.succs[v]))
+    )
+
+
+def test_fork_system_rows_stay_sparse_on_coin_chains(monkeypatch):
+    systems, forks = [], []
+    solve, chain_values = evaluation.solve_linear_system, evaluation.chain_values
+
+    def recording_solve(rows, rhs):
+        systems.append(rows)
+        return solve(rows, rhs)
+
+    def counting_chain_values(game, chosen):
+        forks.append(_fork_count(game, chosen))
+        return chain_values(game, chosen)
+
+    monkeypatch.setattr(evaluation, "solve_linear_system", recording_solve)
+    monkeypatch.setattr(evaluation, "chain_values", counting_chain_values)
+    for n in range(10, 15):
+        for seed in range(2):
+            game = generate(GeneratorSpec(n=n, family=Family.SINGLE_CYCLE, seed=seed))
+            hoffman_karp(make_stopping(game, 10))
+    # systems wider than three, so a dense row would show
+    assert max(len(rows) for rows in systems) > 3
+    assert max(len(row) for rows in systems for row in rows) <= 3
+    assert sum(len(rows) for rows in systems) == sum(forks)
