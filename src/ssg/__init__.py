@@ -33,7 +33,6 @@ from .evaluation import (
     evaluate,
     greedy_strategies,
     one_step_value,
-    zero_set,
 )
 from .gamefile import parse, serialize
 from .generate import Family, GeneratorSpec, generate

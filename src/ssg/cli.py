@@ -289,10 +289,15 @@ def _non_negative(text: str) -> int:
 
 
 def _int_list(text: str) -> list[int]:
+    """Comma-separated positive sizes."""
     try:
-        return [int(p) for p in text.split(",") if p]
+        sizes = [int(p) for p in text.split(",") if p]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+    for size in sizes:
+        if size < 1:
+            raise argparse.ArgumentTypeError(f"size {size} is not positive")
+    return sizes
 
 
 def _solver_list(text: str) -> list[str]:

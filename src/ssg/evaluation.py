@@ -15,15 +15,20 @@ solve an exact linear system over the rationals.  That system is built
 sparse, one dict row of at most three entries per fork, and eliminated
 in greedy Markowitz order (fewest holding rows first), so a chain of
 forks such as a coin chain folds without fill.
+
+Both best responses and iteration.hoffman_karp run one guarded
+improvement loop, _improve, over switchable; they differ only in how
+the opponent responds to each new strategy.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     InternalInvariantError,
@@ -104,17 +109,6 @@ def _positive_reach(game: Game, chosen: Mapping[int, int]) -> list[bool]:
     arcs = [(chosen[v],) if v in chosen else out for v, out in enumerate(game.succs)]
     positive = [v for v in game.sink_vertices if game.sink_value(v) > 0]
     return attractor(arcs, [1] * game.n, positive)
-
-
-def zero_set(game: Game, sigma: Strategy, tau: Strategy) -> frozenset[int]:
-    """Vertices of value exactly zero under the fixed pair.
-
-    A vertex has value zero iff, in the chain induced by the pair, it
-    cannot reach a positive-value sink: it lies outside the attractor
-    of the positive sinks over the arcs the pair uses.
-    """
-    reaches = _positive_reach(game, _choices(game, sigma, tau))
-    return frozenset(v for v in range(game.n) if not reaches[v])
 
 
 def solve_linear_system(
@@ -381,9 +375,12 @@ def check_local_optimality(game: Game, w: ValueVector) -> OptimalityReport:
 def greedy_strategies(game: Game, w: ValueVector) -> StrategyPair:
     """Strategy pair reading the argmax/argmin out of a locally optimal w.
 
-    Ties go to the smallest successor id.  Refuses a w that is not
-    locally optimal, because the greedy readout is only meaningful
-    there.
+    Ties go to the smallest successor id, except at the MAX vertices of
+    a non-stopping game.  There a tie can keep the play circling forever
+    at worth 0, so MAX takes the smallest-id tied successor of lower
+    _exit_ranks rank, closer to leaving its value class.  Refuses a w
+    that is not locally optimal, because the greedy readout is only
+    meaningful there.
     """
     report = check_local_optimality(game, w)
     if not report.satisfied:
@@ -392,7 +389,47 @@ def greedy_strategies(game: Game, w: ValueVector) -> StrategyPair:
         )
     sigma = {v: argbest(VertexKind.MAX, game.succs[v], w) for v in game.max_vertices}
     tau = {v: argbest(VertexKind.MIN, game.succs[v], w) for v in game.min_vertices}
+    if not check_stopping(game).stopping:
+        rank = _exit_ranks(game, w)
+        for v in game.max_vertices:
+            if rank[v] is not None:
+                sigma[v] = min(
+                    s for s in game.succs[v]
+                    if w[s] == w[v] and rank[s] is not None and rank[s] < rank[v]
+                )
     return StrategyPair(Strategy(Player.MAX, sigma), Strategy(Player.MIN, tau))
+
+
+def _exit_ranks(game: Game, w: ValueVector) -> list[int | None]:
+    """Steps from each vertex to leaving its value class under w.
+
+    Sinks, and AVE vertices with a successor of another value, have
+    rank 0.  Any other vertex is one step above its tied successors
+    (those of its own value): above the lowest for MAX and AVE vertices,
+    above the highest for MIN vertices, which may dodge.  One backward
+    breadth-first pass over the tied arcs; None where no rank exists.
+    """
+    rank: list[int | None] = [None] * game.n
+    missing = [0] * game.n
+    preds: list[list[int]] = [[] for _ in range(game.n)]
+    queue = []
+    for v, kind in enumerate(game.kinds):
+        tied = [s for s in game.succs[v] if w[s] == w[v]]
+        if kind is VertexKind.SINK or (kind is VertexKind.AVE and len(tied) < 2):
+            rank[v] = 0
+            queue.append(v)
+            continue
+        missing[v] = len(tied) if kind is VertexKind.MIN else 1
+        for s in tied:
+            preds[s].append(v)
+    for u in queue:  # grows as vertices are ranked, in rank order
+        for p in preds[u]:
+            if rank[p] is None:
+                missing[p] -= 1
+                if not missing[p]:
+                    rank[p] = rank[u] + 1
+                    queue.append(p)
+    return rank
 
 
 def _min_zero_region(game: Game, sigma: Strategy) -> frozenset[int]:
@@ -416,24 +453,63 @@ def _min_zero_region(game: Game, sigma: Strategy) -> frozenset[int]:
     return frozenset(v for v in range(game.n) if not leaks[v])
 
 
-def _assert_monotone(
-    old: ValueVector, new: ValueVector, switched: list[int], decreasing: bool
-) -> None:
-    for i, (a, b) in enumerate(zip(old, new)):
-        ok = b <= a if decreasing else b >= a
-        if not ok:
+def switchable(
+    game: Game, strategy: Strategy, values: ValueVector
+) -> tuple[tuple[int, int], ...]:
+    """Vertices of strategy.owner that can strictly improve on their choice.
+
+    A MAX vertex improves on a strictly larger successor value, a MIN
+    vertex on a strictly smaller one.  Each switchable vertex is paired
+    with its best successor (ties to the smallest id); the result is
+    sorted by vertex id.
+    """
+    kind = strategy.owner.kind
+    pick, better = (max, operator.gt) if kind is VertexKind.MAX else (min, operator.lt)
+    found = []
+    for v in game.owned_vertices(strategy.owner):
+        succs = game.succs[v]
+        if better(pick(values[s] for s in succs), values[strategy[v]]):
+            found.append((v, argbest(kind, succs, values)))
+    return tuple(found)
+
+
+def _improve(
+    game: Game,
+    strategy: Strategy,
+    respond: Callable[[Strategy], tuple[Strategy, ValueVector]],
+    cap: int | None = None,
+) -> tuple[list[Strategy], tuple[Strategy, ValueVector]]:
+    """Strategy improvement for strategy.owner, from strategy.
+
+    respond(s) answers s with the opponent's strategy and the values.
+    Each round switches every switchable vertex and responds again,
+    until nothing switches.  Raises InternalInvariantError unless every
+    value moves the owner's way, every switched one strictly, within
+    cap rounds.  Returns the visited strategies and the last response.
+    """
+    better = operator.gt if strategy.owner is Player.MAX else operator.lt
+    history = [strategy]
+    reply = respond(strategy)
+    while switches := switchable(game, strategy, reply[1]):
+        strategy = strategy.updated(dict(switches))
+        history.append(strategy)
+        if cap is not None and len(history) - 1 > cap:
             raise InternalInvariantError(
-                f"policy iteration lost monotonicity at vertex {i}: {a} -> {b}"
+                "strategy iteration ran longer than the strategy space is large"
             )
-    for v in switched:
-        if decreasing:
-            ok = new[v] < old[v]
-        else:
-            ok = new[v] > old[v]
-        if not ok:
-            raise InternalInvariantError(
-                f"switched vertex {v} did not strictly improve: {old[v]} -> {new[v]}"
-            )
+        values, reply = reply[1], respond(strategy)
+        new = reply[1]
+        for i, (a, b) in enumerate(zip(values, new)):
+            if better(a, b):
+                raise InternalInvariantError(
+                    f"policy iteration lost monotonicity at vertex {i}: {a} -> {b}"
+                )
+        for v, _ in switches:
+            if not better(new[v], values[v]):
+                raise InternalInvariantError(
+                    f"switched vertex {v} did not strictly improve: {values[v]} -> {new[v]}"
+                )
+    return history, reply
 
 
 class BestResponse(NamedTuple):
@@ -446,10 +522,10 @@ def best_response_min(game: Game, sigma: Strategy) -> BestResponse:
 
     Returns a MIN strategy and the value vector that simultaneously
     minimises every vertex value.  Vertices where MIN can confine the
-    play away from positive sinks are pinned to a confining arc first
-    (their value is 0 and plain switching would never discover it);
-    the rest is policy iteration, switching every improving MIN vertex
-    each round, ties to the smallest successor id.  Each round strictly
+    play away from positive sinks are pinned to a confining arc first:
+    their value is 0, which plain switching would never discover and
+    which no switch can undercut.  The rest start on their smallest
+    successor id and _improve switches them; each round strictly
     decreases the value vector, which bounds the number of rounds.
     """
     _require_total(game, sigma)
@@ -460,21 +536,9 @@ def best_response_min(game: Game, sigma: Strategy) -> BestResponse:
             choice[v] = min(s for s in game.succs[v] if s in zero_region)
         else:
             choice[v] = min(game.succs[v])
-    free = [v for v in game.min_vertices if v not in zero_region]
     tau = Strategy(Player.MIN, choice)
-    values = evaluate(game, sigma, tau)
-    while True:
-        switches = {}
-        for v in free:
-            best = argbest(VertexKind.MIN, game.succs[v], values)
-            if values[best] < values[tau[v]]:
-                switches[v] = best
-        if not switches:
-            return BestResponse(tau, values)
-        tau = tau.updated(switches)
-        new_values = evaluate(game, sigma, tau)
-        _assert_monotone(values, new_values, sorted(switches), decreasing=True)
-        values = new_values
+    history, (_, values) = _improve(game, tau, lambda t: (sigma, evaluate(game, sigma, t)))
+    return BestResponse(history[-1], values)
 
 
 def best_response_max(game: Game, tau: Strategy) -> BestResponse:
@@ -483,24 +547,13 @@ def best_response_max(game: Game, tau: Strategy) -> BestResponse:
     Plain policy iteration suffices on the MAX side: a stalled strategy
     satisfies all MAX local equations, and since the value vector of a
     game is the least fixpoint of the one-step operator, stalling
-    already certifies optimality.  Each round strictly increases the
-    value vector.
+    already certifies optimality.  _improve runs from the smallest
+    successor id; each round strictly increases the value vector.
     """
     _require_total(game, tau)
     sigma = Strategy(Player.MAX, {v: min(game.succs[v]) for v in game.max_vertices})
-    values = evaluate(game, sigma, tau)
-    while True:
-        switches = {}
-        for v in game.max_vertices:
-            best = argbest(VertexKind.MAX, game.succs[v], values)
-            if values[best] > values[sigma[v]]:
-                switches[v] = best
-        if not switches:
-            return BestResponse(sigma, values)
-        sigma = sigma.updated(switches)
-        new_values = evaluate(game, sigma, tau)
-        _assert_monotone(values, new_values, sorted(switches), decreasing=False)
-        values = new_values
+    history, (_, values) = _improve(game, sigma, lambda s: (tau, evaluate(game, s, tau)))
+    return BestResponse(history[-1], values)
 
 
 class StoppingReport(NamedTuple):

@@ -23,7 +23,7 @@ from .evaluation import (
     one_step_value,
     require_stopping,
 )
-from .iteration import all_open_strategy, hoffman_karp
+from .iteration import hoffman_karp
 from .model import Game, ValueVector, VertexKind, argbest, merge_sink_neighbors
 from .structure import StructureReport, component_game, topological_order
 
@@ -112,7 +112,7 @@ def solve_max_acyclic_scc(game: Game) -> ValueVector:
     if not report.is_max_acyclic:
         raise PreconditionError("a MAX vertex has two outgoing cycle arcs")
     merged = merge_sink_neighbors(game)
-    trace = hoffman_karp(merged, all_open_strategy(merged), require_stopping=False)
+    trace = hoffman_karp(merged, require_stopping=False)
     n_max = len(game.max_vertices)
     if trace.iterations > n_max:
         raise InternalInvariantError(

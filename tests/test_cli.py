@@ -111,6 +111,17 @@ def test_solve_explicit_algorithm_and_strategies(tmp_path, capsys):
     assert "min 1 -> 4" in out
 
 
+def test_solve_strategies_leave_a_tied_self_loop_on_non_stopping_games(tmp_path, capsys):
+    # every value is 1/2; the self-loop 0 -> 0 ties but is worth 0
+    path = str(tmp_path / "g.ssg")
+    assert main(["generate", "--family", "random", "--n", "4", "--seed", "30", "-o", path]) == 0
+    assert main(["solve", path, "--strategies"]) == 0
+    out = capsys.readouterr().out
+    assert "  0 = 1/2" in out
+    assert "max 0 -> 0" not in out
+    assert "max 0 -> 1" in out
+
+
 def test_solve_missing_file_is_input_error(capsys):
     assert main(["solve", "/no/such/file.ssg"]) == 1
     assert "input error" in capsys.readouterr().err
@@ -317,6 +328,15 @@ def test_bench_marks_refusals(capsys):
     rows = [line for line in out.splitlines() if line.startswith("#row ")]
     assert len(rows) == 3
     assert all("status=refused" in line for line in rows)
+
+
+def test_bench_rejects_sizes_below_one_before_any_row(capsys):
+    argv = ["bench", "--family", "single_cycle", "--solvers", "auto", "--sizes"]
+    for sizes in ("8,-3", "0"):
+        assert main(argv + [sizes]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "is not positive" in captured.err
 
 
 def test_bench_rejects_negative_reps(capsys):

@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 
 from helpers import game_stream
-from ssg.errors import NotStoppingError
-from ssg.evaluation import best_response_min
+from ssg import evaluation, iteration
+from ssg.errors import InternalInvariantError, NotStoppingError
+from ssg.evaluation import best_response_max, best_response_min
 from ssg.generate import Family
 from ssg.iteration import HKTrace, all_open_strategy, hoffman_karp, switchable
 from ssg.model import Player, Strategy, game_of, merge_sink_neighbors
@@ -50,6 +51,17 @@ def test_switchable_reports_best_successor():
     _, values = best_response_min(g, sigma)
     found = switchable(g, sigma, values)
     assert found == ((2, 5),)
+
+
+def test_switchable_serves_min_strategies():
+    g = choice_game()
+    sigma = Strategy(Player.MAX, {0: 3, 2: 5})
+    tau = Strategy(Player.MIN, {1: 2})
+    values = evaluation.evaluate(g, sigma, tau)
+    assert values[2] == 1 and values[4] == Fraction(1, 4)
+    assert switchable(g, tau, values) == ((1, 4),)
+    tau = Strategy(Player.MIN, {1: 4})
+    assert switchable(g, tau, evaluation.evaluate(g, sigma, tau)) == ()
 
 
 def test_hoffman_karp_solves_simple_choice():
@@ -114,3 +126,65 @@ def test_iteration_bound_when_max_cannot_cycle():
         assert trace2.values == trace.values
         count += 1
     assert count == 30
+
+
+# --- the improvement loop's guards --------------------------------------------
+
+
+def one_choice_game():
+    # from LOW, MAX must switch to the sink worth 1
+    return game_of([("max", 1, 2), ("sink", 0), ("sink", 1)])
+
+
+LOW = Strategy(Player.MAX, {0: 1})
+
+
+def replay_first(monkeypatch, module, name, change=lambda values: values):
+    """Rebind module.name to answer every call with its first answer, changed."""
+    original = getattr(module, name)
+    first = []
+
+    def frozen(*args):
+        if not first:
+            first.append(original(*args))
+            return first[0]
+        return change(first[0])
+
+    monkeypatch.setattr(module, name, frozen)
+
+
+def test_a_round_that_loses_monotonicity_is_an_invariant_error(monkeypatch):
+    replay_first(monkeypatch, evaluation, "evaluate", lambda values: (0,) * len(values))
+    with pytest.raises(InternalInvariantError, match="lost monotonicity at vertex 2"):
+        best_response_max(one_choice_game(), Strategy(Player.MIN, {}))
+
+
+def test_a_switch_without_strict_gain_is_an_invariant_error(monkeypatch):
+    g = game_of([("min", 1, 2), ("sink", 1), ("sink", Fraction(1, 2))])
+    replay_first(monkeypatch, evaluation, "evaluate")
+    with pytest.raises(InternalInvariantError, match="vertex 0 did not strictly improve"):
+        best_response_min(g, Strategy(Player.MAX, {}))
+
+
+def test_hoffman_karp_guards_its_rounds_too(monkeypatch):
+    g = one_choice_game()
+    replay_first(
+        monkeypatch,
+        iteration,
+        "best_response_min",
+        lambda reply: reply._replace(values=(0,) * len(reply.values)),
+    )
+    with pytest.raises(InternalInvariantError, match="lost monotonicity"):
+        hoffman_karp(g, LOW)
+    monkeypatch.undo()
+    replay_first(monkeypatch, iteration, "best_response_min")
+    with pytest.raises(InternalInvariantError, match="did not strictly improve"):
+        hoffman_karp(g, LOW)
+
+
+def test_hoffman_karp_past_the_strategy_count_is_an_invariant_error(monkeypatch):
+    g = one_choice_game()
+    assert hoffman_karp(g, LOW).iterations == 1
+    monkeypatch.setattr(iteration, "strategy_count", lambda game, player: 0)
+    with pytest.raises(InternalInvariantError, match="ran longer than the strategy space"):
+        hoffman_karp(g, LOW)
