@@ -8,6 +8,7 @@ invariant breaks (a bug).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -275,6 +276,8 @@ def _proportions(text: str) -> tuple[float, float, float, float]:
         values = tuple(float(p) for p in parts)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+    if not all(math.isfinite(v) for v in values):
+        raise argparse.ArgumentTypeError(f"proportions must be finite numbers, got {text}")
     return values
 
 

@@ -8,6 +8,7 @@ spec and seed always produce the identical game.
 from __future__ import annotations
 
 import enum
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,8 +52,10 @@ def generate(spec: GeneratorSpec) -> Game:
     """A valid game matching the spec; identical for identical specs."""
     if spec.n < 1:
         raise InvalidGameError(f"generator spec: n must be positive, got {spec.n}")
-    if any(p < 0 for p in spec.proportions) or not any(spec.proportions):
-        raise InvalidGameError("generator spec: proportions must be nonnegative, not all zero")
+    if not all(math.isfinite(p) and p >= 0 for p in spec.proportions) or not any(spec.proportions):
+        raise InvalidGameError(
+            "generator spec: proportions must be finite and nonnegative, not all zero"
+        )
     rng = random.Random(spec.seed)
     build = {
         Family.RANDOM: _random_game,

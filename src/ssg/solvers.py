@@ -1,12 +1,13 @@
 """Solvers that exploit how close a game's cycle structure is to a DAG.
 
-Four layers, each reducing to the one below: acyclic games fall to a
-single backward pass; strongly connected MAX-acyclic games to strategy
-iteration with a linear iteration bound; single cycles to one closed
-evaluation plus at most two acyclic solves; and games with few fork
-vertices to a bounded recursion that opens one vertex at a time.  All
-of them return exact rationals and certify their answer against the
-local optimality equations.
+Acyclic games fall to a single backward pass; strongly connected
+MAX-acyclic games to strategy iteration with a linear iteration bound.
+Every component without positional forks goes through one opening
+search: closed values, then one opening pass per side, recursing on
+the number of AVE forks down to single cycles, where each pass costs
+at most two acyclic solves.  Positional forks are enumerated around
+that search.  All of them return exact rationals and certify their
+answer against the local optimality equations.
 """
 
 from __future__ import annotations
@@ -194,49 +195,18 @@ def closed_values(game: Game, report: StructureReport) -> ValueVector:
 def solve_almost_acyclic_scc(game: Game) -> ValueVector:
     """Solve one strongly connected single cycle exactly.
 
-    Try the all-closed values first; if they fail the local optimality
-    equations, probe openings: solve the acyclic game with the
-    smallest-id escaping MAX vertex opened, read off which MAX vertex
-    that solution really opens first, open that one instead, and accept
-    if the result is locally optimal in the original game.  Then the
-    same on the MIN side.  For single cycles one of the three steps
-    always lands.
+    A single cycle is the fork-free base case of the fork recursion
+    (_average_fork_component): try the all-closed values, then open
+    the smallest-id escaping MAX vertex, solve the acyclic game that
+    leaves, and also try the MAX vertex that solution really opens
+    first; then the same on the MIN side.  Local optimality in the
+    original game decides acceptance, and for single cycles one of
+    these steps always lands.
     """
     report = game.structure
     if report.k_p or report.k_a:
         raise PreconditionError("component is not a single cycle")
-    w = closed_values(game, report)
-    if check_local_optimality(game, w).satisfied:
-        return w
-    attempt = _single_cycle_probe(game, report, VertexKind.MAX)
-    if attempt is not None:
-        return attempt
-    if not check_stopping(game).stopping:
-        # play can stay on the cycle forever, so closed MIN choices cost
-        # MIN nothing and the MIN probe should never have been reached
-        raise InternalInvariantError(
-            "MAX probe failed on a cycle that play never has to leave"
-        )
-    attempt = _single_cycle_probe(game, report, VertexKind.MIN)
-    if attempt is not None:
-        return attempt
-    raise InternalInvariantError("single-cycle solver exhausted all branches")
-
-
-def _single_cycle_probe(
-    game: Game, report: StructureReport, kind: VertexKind
-) -> ValueVector | None:
-    openable = [v for v in range(game.n) if _escape(game, report, v, kind) is not None]
-    if not openable:
-        return None
-    x = openable[0]
-    sub = _opened(game, report, x, kind)
-    w1 = solve_acyclic(sub)
-    y = _first_opened(sub, report, kind, w1, report.cycle_succs[x][0], {x})
-    w2 = w1 if y is None else solve_acyclic(_opened(game, report, y, kind))
-    if check_local_optimality(game, w2).satisfied:
-        return w2
-    return None
+    return _average_fork_component(game, ForkBudget(0, 0, 0))
 
 
 @dataclass(frozen=True)
@@ -310,62 +280,78 @@ def _fork_free_recursion(game: Game, budget: ForkBudget) -> ValueVector:
 def _average_fork_component(cgame: Game, budget: ForkBudget) -> ValueVector:
     """One strongly connected component with only AVE forks left.
 
-    Base case: no forks means a single cycle.  Otherwise try the
-    all-closed values; then for each side in turn, open the nearest
-    escaping vertex strictly before a fork, solve the smaller game, and
-    use its solution to nominate the few vertices that could be the
-    truly optimal opening (the first opened vertices downstream of each
-    fork).  Each nomination costs one recursive solve; local optimality
-    in this component decides acceptance.
+    Try the all-closed values; then for each side in turn, open the
+    nearest escaping vertex strictly before a fork, solve the smaller
+    game, and use its solution to nominate the few vertices that could
+    be the truly optimal opening (the first opened vertices downstream
+    of each fork).  Each solve recurses on fewer forks.  With no fork
+    the component is a single cycle: the smallest-id escaping vertex
+    opens and stands in for the fork, and each opened game is a DAG.
+    Local optimality in this component decides acceptance.
     """
     report = cgame.structure
     if report.k_p:
         raise InternalInvariantError("positional fork inside the fork-free recursion")
-    if report.k_a == 0:
-        return solve_almost_acyclic_scc(cgame)
     budget = budget.at_component(report.k_a)
     w = closed_values(cgame, report)
     if check_local_optimality(cgame, w).satisfied:
         return w
     for kind in (VertexKind.MAX, VertexKind.MIN):
+        if kind is VertexKind.MIN and not check_stopping(cgame).stopping:
+            # play can stay inside forever, so closed MIN choices cost
+            # MIN nothing and the MIN side should never have been reached
+            raise InternalInvariantError(
+                "MAX side failed on a component that play never has to leave"
+            )
         found = _fork_opening_pass(cgame, report, kind, budget)
         if found is not None:
             return found
-    raise InternalInvariantError("average fork recursion found no optimal opening")
+    raise InternalInvariantError("no opening was optimal")
 
 
 def _fork_opening_pass(
     cgame: Game, report: StructureReport, kind: VertexKind, budget: ForkBudget
 ) -> ValueVector | None:
     forks = sorted(report.fork_average)
-    fork_set = set(forks)
-    cycle_preds: dict[int, list[int]] = {}
-    for a, targets in enumerate(report.cycle_succs):
-        for b in targets:
-            cycle_preds.setdefault(b, []).append(a)
-
     opener = None
-    for f in forks:
-        seen = {f}
-        frontier = [f]
-        while frontier and opener is None:
-            layer: list[int] = []
-            for v in frontier:
-                for p in cycle_preds.get(v, ()):
-                    if p not in seen and p not in fork_set:
-                        seen.add(p)
-                        layer.append(p)
-            opener = next(
-                (p for p in sorted(layer) if _escape(cgame, report, p, kind) is not None), None
-            )
-            frontier = layer
-        if opener is not None:
-            break
+    if not forks:
+        # the smallest-id escaping vertex stands in for the missing fork
+        openable = (v for v in range(cgame.n) if _escape(cgame, report, v, kind) is not None)
+        opener = next(openable, None)
+        forks = [opener]
+    else:
+        cycle_preds: dict[int, list[int]] = {}
+        for a, targets in enumerate(report.cycle_succs):
+            for b in targets:
+                cycle_preds.setdefault(b, []).append(a)
+        for f in forks:
+            seen = {f}
+            frontier = [f]
+            while frontier and opener is None:
+                layer: list[int] = []
+                for v in frontier:
+                    for p in cycle_preds.get(v, ()):
+                        if p not in seen and p not in report.fork_average:
+                            seen.add(p)
+                            layer.append(p)
+                opener = next(
+                    (p for p in sorted(layer) if _escape(cgame, report, p, kind) is not None),
+                    None,
+                )
+                frontier = layer
+            if opener is not None:
+                break
     if opener is None:
         return None
+    fork_set = set(forks)
+
+    def solve(sub: Game) -> ValueVector:
+        if report.k_a == 0:
+            return solve_acyclic(sub)
+        return _fork_free_recursion(sub, budget.descend(sub.structure.k_a))
 
     sub1 = _opened(cgame, report, opener, kind)
-    w1 = _fork_free_recursion(sub1, budget.descend(sub1.structure.k_a))
+    w1 = solve(sub1)
     if check_local_optimality(cgame, w1).satisfied:
         return w1
 
@@ -377,8 +363,7 @@ def _fork_opening_pass(
             if c is None or c in tried:
                 continue
             tried.add(c)
-            sub = _opened(cgame, report, c, kind)
-            w = _fork_free_recursion(sub, budget.descend(sub.structure.k_a))
+            w = solve(_opened(cgame, report, c, kind))
             if check_local_optimality(cgame, w).satisfied:
                 return w
     return None

@@ -7,10 +7,12 @@ renamed or deleted here would silently drop out of its traces.
 import dataclasses
 import importlib
 import importlib.util
+import sys
 from collections import Counter
 from pathlib import Path
 
-from ssg import evaluation, iteration, structure
+from helpers import game_stream
+from ssg import evaluation, iteration, solvers, structure
 from ssg.cli import RunReport
 from ssg.generate import Family, GeneratorSpec, generate
 from ssg.iteration import HKTrace
@@ -91,3 +93,49 @@ def test_strategy_iteration_calls_go_through_the_traced_names(monkeypatch):
     tau = Strategy(Player.MIN, {v: min(g.succs[v]) for v in g.min_vertices})
     evaluation.best_response_max(g, tau)
     assert calls["evaluate"] == calls["chain_values"] > 0
+
+
+def test_component_solves_go_through_the_traced_names(monkeypatch):
+    # the tracer counts solves by rebinding solvers.closed_values and
+    # solvers.solve_acyclic; a default argument or a local alias bound to
+    # the original would run its code without passing the rebinding, so
+    # the profiler's count of runs must equal the rebinding's count of calls
+    names = ("closed_values", "solve_acyclic")
+    codes = {getattr(solvers, name).__code__: name for name in names}
+    ran = Counter()
+    seen = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            ran[codes[frame.f_code]] += 1
+
+    for name in names:
+        original = getattr(solvers, name)
+
+        def counting(*args, _name=name, _original=original):
+            seen[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(solvers, name, counting)
+    cycles = [
+        g
+        for g in game_stream(30, family=Family.SINGLE_CYCLE, min_n=3, max_n=10, seed=47)
+        if not (g.structure.k_p or g.structure.k_a)
+    ]
+    fork_games = game_stream(
+        30, family=Family.DAG_PLUS_K, min_n=7, max_n=12, seed=59, stopping=True, k=2
+    )
+    for solve, games in (
+        (solvers.solve_almost_acyclic_scc, cycles),
+        (solvers.solve_fork_fpt, fork_games),
+    ):
+        ran.clear()
+        seen.clear()
+        sys.setprofile(profile)
+        try:
+            for g in games:
+                solve(g)
+        finally:
+            sys.setprofile(None)
+        assert seen == ran
+        assert all(ran[name] > 0 for name in names)

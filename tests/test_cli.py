@@ -272,6 +272,17 @@ def test_generate_rejects_bad_spec(capsys):
     assert "input error" in capsys.readouterr().err
 
 
+def test_non_finite_proportions_are_usage_errors(capsys):
+    generate_argv = ["generate", "--family", "random", "--n", "6", "--seed", "1"]
+    bench_argv = ["bench", "--family", "random", "--sizes", "6", "--solvers", "auto"]
+    for argv in (generate_argv, bench_argv):
+        for text in ("nan,1,1,1", "inf,1,1,1", "1,1,1,inf"):
+            assert main(argv + ["--proportions", text]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "must be finite" in captured.err
+
+
 # --- bench ---------------------------------------------------------------------
 
 

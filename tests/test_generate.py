@@ -1,5 +1,6 @@
 """Seeded instance families: determinism and promised structure."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -90,8 +91,14 @@ def test_generator_spec_validation():
         generate(GeneratorSpec(0, Family.RANDOM))
     with pytest.raises(InvalidGameError):
         generate(GeneratorSpec(8, Family.RANDOM, proportions=(0, 0, 0, 0)))
-    with pytest.raises(InvalidGameError):
-        generate(GeneratorSpec(8, Family.RANDOM, proportions=(-0.5, 0.5, 0.5, 0.5)))
+    for bad in (
+        (-0.5, 0.5, 0.5, 0.5),
+        (math.nan, 1, 1, 1),
+        (math.inf, 1, 1, 1),
+        (1, 1, 1, math.inf),
+    ):
+        with pytest.raises(InvalidGameError):
+            generate(GeneratorSpec(8, Family.RANDOM, proportions=bad))
     with pytest.raises(InvalidGameError):
         generate(GeneratorSpec(2, Family.SINGLE_CYCLE))
     with pytest.raises(InvalidGameError):

@@ -1,14 +1,15 @@
 """Component-based exact solvers, from acyclic games up to fork games."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from helpers import closed_profile, game_stream, hand_system
-from ssg import structure
+from ssg import solvers, structure
 from ssg.cli import run_algorithm
 from ssg.errors import InternalInvariantError, NotStoppingError, PreconditionError
-from ssg.evaluation import evaluate, greedy_strategies
+from ssg.evaluation import check_stopping, evaluate, greedy_strategies
 from ssg.generate import Family, GeneratorSpec, generate
 from ssg.model import VertexKind, game_of
 from ssg.oracle import oracle_solve
@@ -265,12 +266,29 @@ def test_almost_acyclic_rejects_disconnected_cycles():
 
 
 def test_almost_acyclic_matches_oracle():
+    # non-stopping cycles are where the side order and the MAX-side
+    # invariant matter, so both kinds must stay in the corpus
+    checked = {True: 0, False: 0}
     for g in game_stream(40, family=Family.SINGLE_CYCLE, min_n=3, max_n=10, seed=47):
         report = analyze(g)
         if report.k_p or report.k_a:
             continue
         values = solve_by_scc(g, solve_almost_acyclic_scc)
         assert values == oracle_solve(g).values
+        checked[check_stopping(g).stopping] += 1
+    assert checked[True] >= 20 and checked[False] >= 10
+
+
+def test_almost_acyclic_fall_through_errors(monkeypatch):
+    monkeypatch.setattr(
+        solvers, "check_local_optimality", lambda game, values: SimpleNamespace(satisfied=False)
+    )
+    stopping = game_of([("max", 1, 2), ("ave", 0, 3), ("sink", F(1, 2)), ("sink", 0)])
+    with pytest.raises(InternalInvariantError, match="no opening was optimal"):
+        solve_almost_acyclic_scc(stopping)
+    trap = game_of([("max", 1, 2), ("min", 0, 3), ("sink", F(1, 2)), ("sink", F(1, 4))])
+    with pytest.raises(InternalInvariantError, match="MAX side failed"):
+        solve_almost_acyclic_scc(trap)
 
 
 # --- strongly connected, MAX never forks ---------------------------------
