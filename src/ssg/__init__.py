@@ -57,7 +57,6 @@ from .model import (
 )
 from .oracle import OracleResult, enumerate_strategies, oracle_solve, strategy_count
 from .solvers import (
-    ForkBudget,
     closed_values,
     solve_acyclic,
     solve_almost_acyclic_scc,

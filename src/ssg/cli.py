@@ -281,30 +281,36 @@ def _proportions(text: str) -> tuple[float, float, float, float]:
     return values
 
 
-def _non_negative(text: str) -> int:
+def _bounded_int(text: str, least: int, complaint: str) -> int:
     try:
         value = int(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"{value} is negative")
+    if value < least:
+        raise argparse.ArgumentTypeError(f"{value} {complaint}")
     return value
 
 
+def _non_negative(text: str) -> int:
+    return _bounded_int(text, 0, "is negative")
+
+
+def _positive(text: str) -> int:
+    return _bounded_int(text, 1, "is not positive")
+
+
 def _int_list(text: str) -> list[int]:
-    """Comma-separated positive sizes."""
-    try:
-        sizes = [int(p) for p in text.split(",") if p]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    for size in sizes:
-        if size < 1:
-            raise argparse.ArgumentTypeError(f"size {size} is not positive")
+    """Comma-separated positive sizes, at least one."""
+    sizes = [_positive(p) for p in text.split(",") if p]
+    if not sizes:
+        raise argparse.ArgumentTypeError("expected at least one size")
     return sizes
 
 
 def _solver_list(text: str) -> list[str]:
     names = [p.strip() for p in text.split(",") if p.strip()]
+    if not names:
+        raise argparse.ArgumentTypeError("expected at least one solver")
     for name in names:
         if name not in ALGORITHMS:
             raise argparse.ArgumentTypeError(f"unknown solver {name!r}")
@@ -341,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--family", choices=[f.value for f in Family], required=True)
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--k", type=int, default=1, help="cycle covers for dag_plus_k")
+    gen.add_argument("--k", type=_positive, default=1, help="cycle covers for dag_plus_k")
     gen.add_argument(
         "--proportions",
         type=_proportions,
@@ -359,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--reps", type=_non_negative, default=1)
-    bench.add_argument("--k", type=int, default=1)
+    bench.add_argument("--k", type=_positive, default=1)
     bench.add_argument(
         "--proportions",
         type=_proportions,

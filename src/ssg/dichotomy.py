@@ -71,7 +71,7 @@ def dichotomy_solve(
     require_stopping(game)
     if game.is_sink(x):
         raise PreconditionError(f"vertex {x} is a sink")
-    return _dichotomy_core(game, x, subsolver)
+    return _certified(game, _dichotomy_core(game, x, subsolver))
 
 
 def _dichotomy_core(game: Game, x: int, subsolver: Subsolver) -> ValueVector:
@@ -83,7 +83,7 @@ def _dichotomy_core(game: Game, x: int, subsolver: Subsolver) -> ValueVector:
         values = subsolver(vertex_to_sink(game, x, mid))
         fm = one_step_value(game, values, x)
         if fm == mid:
-            return _certified(game, values)
+            return values
         if fm > mid:
             lo = mid
         else:
@@ -95,7 +95,7 @@ def _dichotomy_core(game: Game, x: int, subsolver: Subsolver) -> ValueVector:
             f"no fixed point at the unique candidate {candidate} "
             f"in [{lo}, {hi}]"
         )
-    return _certified(game, values)
+    return values
 
 
 def _certified(game: Game, values: ValueVector) -> ValueVector:
@@ -154,8 +154,10 @@ def solve_feedback(
     Feedback vertices are frozen one at a time in increasing id order;
     each level bisects on its vertex with the next level as subsolver,
     bottoming out in subsolver (the DAG solver by default, replaceable
-    for instrumentation).  Refuses sets that leave a cycle uncovered
-    and games that are not stopping.
+    for instrumentation).  Only the final answer is certified: values
+    locally optimal in the game are so in every frozen game too.
+    Refuses sets that leave a cycle uncovered and games that are not
+    stopping.
     """
     xs = sorted(set(feedback))
     for x in xs:
@@ -164,7 +166,7 @@ def solve_feedback(
     if not is_feedback_set(game, xs):
         raise PreconditionError("a cycle avoids the proposed feedback set")
     require_stopping(game)
-    return _feedback_level(game, xs, subsolver)
+    return _certified(game, _feedback_level(game, xs, subsolver))
 
 
 def _feedback_level(game: Game, xs: list[int], subsolver: Subsolver) -> ValueVector:

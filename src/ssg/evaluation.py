@@ -64,13 +64,18 @@ def _require_total(game: Game, *strategies: Strategy) -> None:
 
 def attractor(
     arcs: Sequence[Sequence[int]], need: Sequence[int], seeds: Iterable[int]
-) -> list[bool]:
+) -> list[int | None]:
     """Backward fixpoint: the seeds, plus every vertex v of which need[v]
-    arcs point into the set.
+    arcs point into the set, with the round in which each vertex joined.
 
     arcs[v] lists the successors of v; a successor listed twice counts
-    twice, and an arc from a vertex to itself never pulls it in.
-    Returns membership of each vertex.
+    twice, and an arc from a vertex to itself never pulls it in.  The
+    queue runs first in, first out: seeds join in round 0, and any other
+    vertex one round after the member whose arrival completed its need,
+    so with need 1 a vertex is one round above its lowest successor in
+    the set, and with every arc needed one above its highest.  Returns
+    each vertex's round, None outside the set; test membership with
+    `is not None`, since round 0 is falsy.
     """
     n = len(arcs)
     preds: list[list[int]] = [[] for _ in range(n)]
@@ -78,19 +83,18 @@ def attractor(
         for s in out:
             preds[s].append(v)
     missing = list(need)
-    inside = [False] * n
-    stack = list(seeds)
-    for v in stack:
-        inside[v] = True
-    while stack:
-        u = stack.pop()
+    rounds: list[int | None] = [None] * n
+    queue = list(seeds)
+    for v in queue:
+        rounds[v] = 0
+    for u in queue:  # grows as vertices join, in round order
         for p in preds[u]:
-            if not inside[p]:
+            if rounds[p] is None:
                 missing[p] -= 1
                 if missing[p] == 0:
-                    inside[p] = True
-                    stack.append(p)
-    return inside
+                    rounds[p] = rounds[u] + 1
+                    queue.append(p)
+    return rounds
 
 
 def _choices(game: Game, sigma: Strategy, tau: Strategy) -> dict[int, int]:
@@ -99,16 +103,6 @@ def _choices(game: Game, sigma: Strategy, tau: Strategy) -> dict[int, int]:
         raise InvalidStrategyError("evaluate expects (MAX strategy, MIN strategy)")
     _require_total(game, sigma, tau)
     return {**sigma.choice, **tau.choice}
-
-
-def _positive_reach(game: Game, chosen: Mapping[int, int]) -> list[bool]:
-    """Whether each vertex can reach a positive sink when every
-    positional vertex v keeps to the arc chosen[v] (chosen covers
-    exactly the positional vertices).
-    """
-    arcs = [(chosen[v],) if v in chosen else out for v, out in enumerate(game.succs)]
-    positive = [v for v in game.sink_vertices if game.sink_value(v) > 0]
-    return attractor(arcs, [1] * game.n, positive)
 
 
 def solve_linear_system(
@@ -204,8 +198,10 @@ def chain_values(game: Game, chosen: Mapping[int, int]) -> ValueVector:
     a walk that closes a cycle without a fork is solved by
     _cycle_forms.
     """
-    reaches = _positive_reach(game, chosen)
-    settled = [s if r else ZERO for r, s in zip(reaches, game.sink_values)]
+    arcs = [(chosen[v],) if v in chosen else out for v, out in enumerate(game.succs)]
+    positive = [v for v in game.sink_vertices if game.sink_value(v) > 0]
+    reach = attractor(arcs, [1] * game.n, positive)
+    settled = [s if r is not None else ZERO for r, s in zip(reach, game.sink_values)]
     # forms[v] = (c, gamma, f): value(v) = c + gamma * value(f); f is a
     # fork, or None when gamma is 0
     forms: list[tuple[Fraction, Fraction, int | None] | None] = [
@@ -378,7 +374,8 @@ def greedy_strategies(game: Game, w: ValueVector) -> StrategyPair:
     Ties go to the smallest successor id, except at the MAX vertices of
     a non-stopping game.  There a tie can keep the play circling forever
     at worth 0, so MAX takes the smallest-id tied successor of lower
-    _exit_ranks rank, closer to leaving its value class.  Refuses a w
+    exit rank (its attractor round over the tied arcs, _exit_ranks),
+    closer to leaving its value class.  Refuses a w
     that is not locally optimal, because the greedy readout is only
     meaningful there.
     """
@@ -406,30 +403,17 @@ def _exit_ranks(game: Game, w: ValueVector) -> list[int | None]:
     Sinks, and AVE vertices with a successor of another value, have
     rank 0.  Any other vertex is one step above its tied successors
     (those of its own value): above the lowest for MAX and AVE vertices,
-    above the highest for MIN vertices, which may dodge.  One backward
-    breadth-first pass over the tied arcs; None where no rank exists.
+    above the highest for MIN vertices, which may dodge.  These are the
+    attractor rounds over the tied arcs, where MIN vertices need every
+    tied arc; None where no rank exists.
     """
-    rank: list[int | None] = [None] * game.n
-    missing = [0] * game.n
-    preds: list[list[int]] = [[] for _ in range(game.n)]
-    queue = []
-    for v, kind in enumerate(game.kinds):
-        tied = [s for s in game.succs[v] if w[s] == w[v]]
-        if kind is VertexKind.SINK or (kind is VertexKind.AVE and len(tied) < 2):
-            rank[v] = 0
-            queue.append(v)
-            continue
-        missing[v] = len(tied) if kind is VertexKind.MIN else 1
-        for s in tied:
-            preds[s].append(v)
-    for u in queue:  # grows as vertices are ranked, in rank order
-        for p in preds[u]:
-            if rank[p] is None:
-                missing[p] -= 1
-                if not missing[p]:
-                    rank[p] = rank[u] + 1
-                    queue.append(p)
-    return rank
+    tied = [[s for s in out if w[s] == w[v]] for v, out in enumerate(game.succs)]
+    seeds = [
+        v for v, kind in enumerate(game.kinds)
+        if kind is VertexKind.SINK or (kind is VertexKind.AVE and len(tied[v]) < 2)
+    ]
+    need = [len(t) if k is VertexKind.MIN else 1 for k, t in zip(game.kinds, tied)]
+    return attractor(tied, need, seeds)
 
 
 def _min_zero_region(game: Game, sigma: Strategy) -> frozenset[int]:
@@ -450,7 +434,7 @@ def _min_zero_region(game: Game, sigma: Strategy) -> frozenset[int]:
     need = [len(out) if k is VertexKind.MIN else 1 for k, out in zip(game.kinds, arcs)]
     positive = [v for v in game.sink_vertices if game.sink_value(v) > 0]
     leaks = attractor(arcs, need, positive)
-    return frozenset(v for v in range(game.n) if not leaks[v])
+    return frozenset(v for v in range(game.n) if leaks[v] is None)
 
 
 def switchable(
@@ -572,7 +556,7 @@ def check_stopping(game: Game) -> StoppingReport:
     """
     need = [1 if k is VertexKind.AVE else len(out) for k, out in zip(game.kinds, game.succs)]
     escapes = attractor(game.succs, need, game.sink_vertices)
-    witness = frozenset(v for v in range(game.n) if not escapes[v])
+    witness = frozenset(v for v in range(game.n) if escapes[v] is None)
     return StoppingReport(not witness, witness)
 
 

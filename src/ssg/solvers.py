@@ -13,11 +13,11 @@ answer against the local optimality equations.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalInvariantError, PreconditionError
 from .evaluation import (
+    attractor,
     chain_values,
     check_local_optimality,
     check_stopping,
@@ -195,46 +195,18 @@ def closed_values(game: Game, report: StructureReport) -> ValueVector:
 def solve_almost_acyclic_scc(game: Game) -> ValueVector:
     """Solve one strongly connected single cycle exactly.
 
-    A single cycle is the fork-free base case of the fork recursion
-    (_average_fork_component): try the all-closed values, then open
-    the smallest-id escaping MAX vertex, solve the acyclic game that
-    leaves, and also try the MAX vertex that solution really opens
-    first; then the same on the MIN side.  Local optimality in the
-    original game decides acceptance, and for single cycles one of
+    A single cycle is the fork-free base case of the fork recursion,
+    _average_fork_component called directly: try the all-closed values,
+    then open the smallest-id escaping MAX vertex, solve the acyclic
+    game that leaves, and also try the MAX vertex that solution really
+    opens first; then the same on the MIN side.  Local optimality in
+    the original game decides acceptance, and for single cycles one of
     these steps always lands.
     """
     report = game.structure
     if report.k_p or report.k_a:
         raise PreconditionError("component is not a single cycle")
-    return _average_fork_component(game, ForkBudget(0, 0, 0))
-
-
-@dataclass(frozen=True)
-class ForkBudget:
-    """Recursion accounting for the fork solver.
-
-    k_a is the average fork weight of the component currently being
-    solved; descend() enforces that every opening strictly lowers it,
-    which bounds the recursion depth by the initial weight plus one.
-    """
-
-    k_p: int
-    k_a: int
-    depth: int
-
-    def descend(self, k_a: int) -> "ForkBudget":
-        if k_a >= self.k_a or k_a < 0:
-            raise InternalInvariantError(
-                f"average fork weight went from {self.k_a} to {k_a}"
-            )
-        return ForkBudget(self.k_p, k_a, self.depth + 1)
-
-    def at_component(self, k_a: int) -> "ForkBudget":
-        if k_a > self.k_a:
-            raise InternalInvariantError(
-                f"component fork weight {k_a} exceeds its game's {self.k_a}"
-            )
-        return ForkBudget(self.k_p, k_a, self.depth)
+    return _average_fork_component(game)
 
 
 def solve_fork_fpt(game: Game) -> ValueVector:
@@ -254,10 +226,9 @@ def solve_fork_fpt(game: Game) -> ValueVector:
 
 def _positional_fork_component(cgame: Game) -> ValueVector:
     report = cgame.structure
-    budget = ForkBudget(report.k_p, report.k_a, 0)
     forks = sorted(report.fork_positional)
     if not forks:
-        return _average_fork_component(cgame, budget)
+        return _average_fork_component(cgame)
     pools = [report.cycle_succs[v] for v in forks]
     for combo in itertools.product(*pools):
         sub = cgame
@@ -265,34 +236,29 @@ def _positional_fork_component(cgame: Game) -> ValueVector:
             cycle = report.cycle_succs[v]
             kept = tuple(s for s in sub.succs[v] if s not in cycle or s == keep)
             sub = _with_succs(sub, v, kept)
-        w = _fork_free_recursion(sub, budget)
+        w = solve_by_scc(sub, _average_fork_component)
         if check_local_optimality(cgame, w).satisfied:
             return w
     raise InternalInvariantError("no positional fork resolution was optimal")
 
 
-def _fork_free_recursion(game: Game, budget: ForkBudget) -> ValueVector:
-    return solve_by_scc(
-        game, lambda comp: _average_fork_component(comp, budget)
-    )
-
-
-def _average_fork_component(cgame: Game, budget: ForkBudget) -> ValueVector:
+def _average_fork_component(cgame: Game) -> ValueVector:
     """One strongly connected component with only AVE forks left.
 
     Try the all-closed values; then for each side in turn, open the
     nearest escaping vertex strictly before a fork, solve the smaller
     game, and use its solution to nominate the few vertices that could
     be the truly optimal opening (the first opened vertices downstream
-    of each fork).  Each solve recurses on fewer forks.  With no fork
-    the component is a single cycle: the smallest-id escaping vertex
-    opens and stands in for the fork, and each opened game is a DAG.
-    Local optimality in this component decides acceptance.
+    of each fork).  Each solve recurses through solve_by_scc on
+    strictly fewer AVE forks, which bounds the depth by k_a plus one;
+    an opened game that keeps k_a raises InternalInvariantError.  With
+    no fork the component is a single cycle: the smallest-id escaping
+    vertex opens and stands in for the fork, and each opened game is a
+    DAG.  Local optimality in this component decides acceptance.
     """
     report = cgame.structure
     if report.k_p:
         raise InternalInvariantError("positional fork inside the fork-free recursion")
-    budget = budget.at_component(report.k_a)
     w = closed_values(cgame, report)
     if check_local_optimality(cgame, w).satisfied:
         return w
@@ -303,43 +269,32 @@ def _average_fork_component(cgame: Game, budget: ForkBudget) -> ValueVector:
             raise InternalInvariantError(
                 "MAX side failed on a component that play never has to leave"
             )
-        found = _fork_opening_pass(cgame, report, kind, budget)
+        found = _fork_opening_pass(cgame, report, kind)
         if found is not None:
             return found
     raise InternalInvariantError("no opening was optimal")
 
 
 def _fork_opening_pass(
-    cgame: Game, report: StructureReport, kind: VertexKind, budget: ForkBudget
+    cgame: Game, report: StructureReport, kind: VertexKind
 ) -> ValueVector | None:
+    escaping = [v for v in range(cgame.n) if _escape(cgame, report, v, kind) is not None]
     forks = sorted(report.fork_average)
     opener = None
     if not forks:
         # the smallest-id escaping vertex stands in for the missing fork
-        openable = (v for v in range(cgame.n) if _escape(cgame, report, v, kind) is not None)
-        opener = next(openable, None)
+        opener = escaping[0] if escaping else None
         forks = [opener]
     else:
-        cycle_preds: dict[int, list[int]] = {}
-        for a, targets in enumerate(report.cycle_succs):
-            for b in targets:
-                cycle_preds.setdefault(b, []).append(a)
+        # the escaping vertex of least (round, id) in a fork's attractor
+        # over the cycle arcs of non-fork vertices, from the first fork
+        # whose attractor holds one
+        arcs = [() if v in report.fork_average else a for v, a in enumerate(report.cycle_succs)]
         for f in forks:
-            seen = {f}
-            frontier = [f]
-            while frontier and opener is None:
-                layer: list[int] = []
-                for v in frontier:
-                    for p in cycle_preds.get(v, ()):
-                        if p not in seen and p not in report.fork_average:
-                            seen.add(p)
-                            layer.append(p)
-                opener = next(
-                    (p for p in sorted(layer) if _escape(cgame, report, p, kind) is not None),
-                    None,
-                )
-                frontier = layer
-            if opener is not None:
+            rounds = attractor(arcs, [1] * cgame.n, [f])
+            near = [(rounds[v], v) for v in escaping if rounds[v] is not None]
+            if near:
+                opener = min(near)[1]
                 break
     if opener is None:
         return None
@@ -348,7 +303,11 @@ def _fork_opening_pass(
     def solve(sub: Game) -> ValueVector:
         if report.k_a == 0:
             return solve_acyclic(sub)
-        return _fork_free_recursion(sub, budget.descend(sub.structure.k_a))
+        if sub.structure.k_a >= report.k_a:
+            raise InternalInvariantError(
+                f"average fork weight went from {report.k_a} to {sub.structure.k_a}"
+            )
+        return solve_by_scc(sub, _average_fork_component)
 
     sub1 = _opened(cgame, report, opener, kind)
     w1 = solve(sub1)

@@ -4,15 +4,17 @@ The tracer times layers by rebinding module globals by name, so a layer
 renamed or deleted here would silently drop out of its traces.
 """
 
+import ast
 import dataclasses
 import importlib
 import importlib.util
+import inspect
 import sys
 from collections import Counter
 from pathlib import Path
 
 from helpers import game_stream
-from ssg import evaluation, iteration, solvers, structure
+from ssg import cli, evaluation, iteration, solvers, structure
 from ssg.cli import RunReport
 from ssg.generate import Family, GeneratorSpec, generate
 from ssg.iteration import HKTrace
@@ -37,6 +39,17 @@ def test_every_traced_layer_exists():
         if not callable(getattr(importlib.import_module(f"ssg.{home}"), name, None))
     ]
     assert missing == []
+
+
+def test_every_auto_pick_is_counted_and_registered():
+    # the tracer counts auto's picks per name in PICKABLE, so a pick
+    # missing there would drop out of the per-layer counts silently
+    tree = ast.parse(inspect.getsource(cli.choose_algorithm))
+    returns = [node.value for node in ast.walk(tree) if isinstance(node, ast.Return)]
+    assert all(isinstance(value, ast.Constant) for value in returns)
+    picks = [value.value for value in returns]
+    assert sorted(picks) == sorted(load_tracer().PICKABLE)
+    assert all(pick in cli.SOLVERS for pick in picks)
 
 
 def test_traced_results_keep_their_work_counts():

@@ -350,6 +350,21 @@ def test_bench_rejects_sizes_below_one_before_any_row(capsys):
         assert "is not positive" in captured.err
 
 
+def test_empty_lists_and_k_below_one_are_usage_errors(capsys):
+    bench = ["bench", "--family", "dag_plus_k"]
+    cases = [
+        (bench + ["--sizes", ",", "--solvers", "auto"], "at least one size"),
+        (bench + ["--sizes", "10", "--solvers", ","], "at least one solver"),
+        (bench + ["--sizes", "10", "--solvers", "auto", "--k", "-2"], "-2 is not positive"),
+        (["generate", "--family", "random", "--n", "6", "--k", "0"], "0 is not positive"),
+    ]
+    for argv, message in cases:
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+
 def test_bench_rejects_negative_reps(capsys):
     argv = ["bench", "--family", "single_cycle", "--sizes", "6", "--solvers", "auto"]
     assert main(argv + ["--reps", "-1"]) == 1

@@ -287,9 +287,9 @@ def test_evaluate_agrees_with_minimax_on_optimal_pair():
 def test_attractor_counts_duplicate_arcs():
     # 0 -> 2 twice, 1 -> 2 and 3, 2 is the seed, 3 loops, 4 -> 0 and 1
     arcs = [(2, 2), (2, 3), (), (3,), (0, 1)]
-    assert attractor(arcs, [1] * 5, [2]) == [True, True, True, False, True]
+    assert attractor(arcs, [1] * 5, [2]) == [1, 1, 0, None, 2]
     need_all = [len(out) for out in arcs]
-    assert attractor(arcs, need_all, [2]) == [True, False, True, False, False]
+    assert attractor(arcs, need_all, [2]) == [1, None, 0, None, None]
 
 
 def coincident_and_sink_arcs_game():

@@ -14,7 +14,6 @@ from ssg.generate import Family, GeneratorSpec, generate
 from ssg.model import VertexKind, game_of
 from ssg.oracle import oracle_solve
 from ssg.solvers import (
-    ForkBudget,
     closed_values,
     solve_acyclic,
     solve_almost_acyclic_scc,
@@ -375,13 +374,46 @@ def test_fork_fpt_matches_oracle_on_random_games():
         assert solve_fork_fpt(g) == oracle_solve(g).values
 
 
-def test_fork_budget_bookkeeping():
-    b = ForkBudget(k_p=0, k_a=3, depth=0)
-    down = b.descend(1)
-    assert (down.k_a, down.depth) == (1, 1)
-    with pytest.raises(InternalInvariantError):
-        down.descend(1)
-    with pytest.raises(InternalInvariantError):
-        down.at_component(2)
-    same = down.at_component(0)
-    assert (same.k_a, same.depth) == (0, 1)
+def test_fork_recursion_refuses_an_opening_that_keeps_its_forks(monkeypatch):
+    # with openings that open nothing, every opened game keeps the
+    # component's average fork weight, so the recursion must stop there
+    monkeypatch.setattr(solvers, "_opened", lambda game, report, v, kind: game)
+    raised = 0
+    for seed in range(200):
+        for n in range(10, 13):
+            g = generate(GeneratorSpec(n=n, family=Family.DAG_PLUS_K, seed=seed, k=1))
+            if g.structure.k_a == 0 or not check_stopping(g).stopping:
+                continue
+            try:
+                solve_fork_fpt(g)
+            except InternalInvariantError as exc:
+                assert "average fork weight went from" in str(exc)
+                raised += 1
+    assert raised >= 20
+
+
+def test_fork_opening_takes_the_nearest_escape_before_the_fork(monkeypatch):
+    # AVE fork 0 -> 1, 2; cycles 0 -> 1 -> 3 -> 0 and 0 -> 2 -> 4 -> 0.
+    # MAX 3 and 4 escape one step before the fork, MAX 1 two steps
+    # before it, and AVE 2 leaks to the 0-sink, so the game stops
+    g = game_of([
+        ("ave", 1, 2),
+        ("max", 3, 5),
+        ("ave", 4, 6),
+        ("max", 0, 5),
+        ("max", 0, 5),
+        ("sink", 1),
+        ("sink", 0),
+    ])
+    assert sorted(g.structure.fork_average) == [0]
+    assert check_stopping(g).stopping
+    opened = []
+    original = solvers._opened
+
+    def recording(game, report, v, kind):
+        opened.append(v)
+        return original(game, report, v, kind)
+
+    monkeypatch.setattr(solvers, "_opened", recording)
+    assert solve_fork_fpt(g) == oracle_solve(g).values
+    assert opened[0] == 3
