@@ -286,6 +286,8 @@ def vertex_to_sink(game: Game, vertex: int, value: RationalLike) -> Game:
     The vertex keeps its id; its outgoing arcs become the sink
     self-loop.  Arcs of other vertices pointing at it are untouched.
     """
+    if not (0 <= vertex < game.n):
+        raise InvalidGameError(f"vertex {vertex} out of range for {game.n} vertices")
     val = as_fraction(value)
     if not (0 <= val <= 1):
         raise InvalidGameError(f"sink value {val} outside [0, 1]")

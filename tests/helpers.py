@@ -5,10 +5,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from ssg.dichotomy import stern_brocot, value_denominator_bound
 from ssg.errors import InternalInvariantError
-from ssg.evaluation import check_stopping
-from ssg.generate import Family, GeneratorSpec, generate
-from ssg.model import Game, Player, Strategy, VertexKind
+from ssg.evaluation import check_stopping, one_step_value
+from ssg.generate import DEFAULT_PROPORTIONS, Family, GeneratorSpec, generate
+from ssg.model import Game, Player, Strategy, VertexKind, vertex_to_sink
 
 
 def game_stream(
@@ -19,6 +20,7 @@ def game_stream(
     seed: int = 0,
     stopping: bool | None = None,
     k: int = 1,
+    proportions=DEFAULT_PROPORTIONS,
 ):
     """Deterministic list of generated games, optionally stopping-filtered."""
     games: list[Game] = []
@@ -27,7 +29,11 @@ def game_stream(
         n = min_n + attempt % (max_n - min_n + 1)
         game = generate(
             GeneratorSpec(
-                n=n, family=family, seed=seed * 1_000_003 + attempt, k=k
+                n=n,
+                family=family,
+                seed=seed * 1_000_003 + attempt,
+                proportions=proportions,
+                k=k,
             )
         )
         attempt += 1
@@ -181,3 +187,30 @@ def dense_evaluate(game: Game, sigma: Strategy, tau: Strategy) -> tuple[Fraction
     return tuple(
         game.sink_value(v) if game.is_sink(v) else sol[index[v]] for v in range(game.n)
     )
+
+
+def plain_bisection(game: Game, xs, subsolver):
+    """Nested bisection with no early stop and no warm start.
+
+    The tests' reference for the subsolve count of solve_feedback: each
+    level on xs[0] halves [0, 1] until it is no wider than 1/bound^2
+    (or a midpoint is the fixed point), then solves at the simplest
+    rational left, with xs[1:] bisected the same way inside every solve.
+    """
+    if not xs:
+        return subsolver(game)
+    x, rest = xs[0], xs[1:]
+    bound = value_denominator_bound(game)
+    lo, hi = Fraction(0), Fraction(1)
+    while hi - lo > Fraction(1, bound * bound):
+        mid = (lo + hi) / 2
+        values = plain_bisection(vertex_to_sink(game, x, mid), rest, subsolver)
+        fm = one_step_value(game, values, x)
+        if fm == mid:
+            return values
+        if fm > mid:
+            lo = mid
+        else:
+            hi = mid
+    candidate = stern_brocot(lo, hi, bound)
+    return plain_bisection(vertex_to_sink(game, x, candidate), rest, subsolver)

@@ -152,3 +152,29 @@ def test_component_solves_go_through_the_traced_names(monkeypatch):
             sys.setprofile(None)
         assert seen == ran
         assert all(ran[name] > 0 for name in names)
+
+
+def test_feedback_subsolver_calls_are_the_traced_acyclic_solves():
+    # the tracer reads dichotomy.subsolver_calls from the registry's count
+    # and solvers.solve_acyclic.calls from its rebinding; both count the
+    # same subsolves however the bisection recursion is shaped
+    games = game_stream(
+        4, family=Family.DAG_PLUS_K, min_n=8, max_n=12, seed=61, stopping=True, k=2
+    ) + [
+        g
+        for g in game_stream(
+            30, min_n=8, max_n=11, seed=91, stopping=True, proportions=(0.15, 0.15, 0.6, 0.1)
+        )
+        if len(structure.feedback_vertex_set(g, 3) or ()) == 3
+    ][:4]
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        reports = [cli.run_algorithm(g, "feedback") for g in games]
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    calls = sum(report.subsolver_calls for report in reports)
+    assert len(games) == 8 and calls > 0
+    assert metrics["dichotomy.subsolver_calls"] == calls
+    assert metrics["solvers.solve_acyclic.calls"] == calls

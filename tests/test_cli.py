@@ -12,6 +12,8 @@ from ssg import cli
 from ssg.cli import choose_algorithm, main, run_algorithm
 from ssg.errors import InternalInvariantError
 from ssg.gamefile import parse, serialize
+from ssg.generate import Family, GeneratorSpec, generate
+from ssg.iteration import hoffman_karp
 from ssg.model import game_of
 from ssg.oracle import oracle_solve
 
@@ -67,6 +69,17 @@ def test_run_algorithm_counts_dichotomy_calls():
         Fraction(0),
         Fraction(1),
     )
+
+
+def test_auto_feedback_pick_stays_within_its_subsolve_count():
+    # this game once took 462,279 subsolves (78 s) in the nested bisection
+    g = generate(GeneratorSpec(
+        n=23, family=Family.RANDOM, seed=4, proportions=(0.15, 0.15, 0.6, 0.1)
+    ))
+    report = run_algorithm(g, "auto")
+    assert report.algorithm == "feedback"
+    assert report.subsolver_calls <= 10_000
+    assert report.values == hoffman_karp(g).values
 
 
 def stopping_choice_game():

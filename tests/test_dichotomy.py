@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import game_stream
+from helpers import game_stream, plain_bisection
 from ssg.dichotomy import (
     dichotomy_solve,
     fixed_point_f,
@@ -20,9 +20,11 @@ from ssg.dichotomy import (
 from ssg.errors import NotStoppingError, PreconditionError
 from ssg.evaluation import check_stopping
 from ssg.generate import Family, GeneratorSpec, generate
+from ssg.iteration import hoffman_karp
 from ssg.model import VertexKind, game_of
 from ssg.oracle import oracle_solve
 from ssg.solvers import solve_acyclic
+from ssg.structure import feedback_vertex_set
 
 
 F = Fraction
@@ -99,6 +101,14 @@ def test_dichotomy_rejects_sink_pivot():
         dichotomy_solve(coin_pair(), 2)
 
 
+@pytest.mark.parametrize("x", [-1, -3, 4, 9])
+def test_dichotomy_rejects_ids_outside_the_game(x):
+    # -3 used to freeze vertex n - 3 and 9 used to raise IndexError
+    for solve in (dichotomy_solve, lambda g, v: solve_feedback(g, [v])):
+        with pytest.raises(PreconditionError, match="not a playable vertex"):
+            solve(coin_pair(), x)
+
+
 def test_dichotomy_requires_stopping():
     with pytest.raises(NotStoppingError):
         dichotomy_solve(trap(), 0)
@@ -129,8 +139,28 @@ def test_dichotomy_matches_oracle_within_call_budget():
         assert values == oracle_solve(g).values
         bound = value_denominator_bound(g)
         assert counter.calls <= (bound * bound - 1).bit_length() + 1
+        # the bracket pins the value once narrower than 1/(den * bound)
+        assert counter.calls <= (values[0].denominator * bound).bit_length() + 1
         solved += 1
     assert solved == 25
+
+
+def test_bisection_can_still_need_every_halving():
+    # 9/28 under a bound of 42: no bracket wider than the last one holds
+    # it alone, so every halving runs before the Stern-Brocot step
+    g = game_of([
+        ("ave", 1, 3),
+        ("ave", 2, 3),
+        ("min", 0, 4),
+        ("sink", F(3, 7)),
+        ("sink", 0),
+    ])
+    bound = value_denominator_bound(g)
+    counter = CountingSolver()
+    values = dichotomy_solve(g, 0, subsolver=counter)
+    assert counter.calls == (bound * bound - 1).bit_length() + 1
+    assert values[0] == F(9, 28)
+    assert values == oracle_solve(g).values
 
 
 # --- simplest rational in an interval --------------------------------------
@@ -220,8 +250,6 @@ def test_solve_feedback_agrees_with_single_pivot():
 
 
 def test_solve_feedback_matches_oracle_on_two_cycle_games():
-    from ssg.structure import feedback_vertex_set
-
     count = 0
     for g in game_stream(
         12, family=Family.DAG_PLUS_K, min_n=7, max_n=8, seed=73, k=2
@@ -231,6 +259,49 @@ def test_solve_feedback_matches_oracle_on_two_cycle_games():
         assert solve_feedback(g, fvs) == oracle_solve(g).values
         count += 1
     assert count == 12
+
+
+AVE_HEAVY = (0.15, 0.15, 0.6, 0.1)
+
+
+def test_solve_feedback_never_solves_more_than_plain_bisection():
+    # dag_plus_k cycles are apart, so inner brackets are mostly one point;
+    # on AVE-heavy random games the levels move each other's values
+    corpus = game_stream(
+        30, family=Family.DAG_PLUS_K, min_n=7, max_n=12, seed=83, stopping=True, k=2
+    ) + [
+        g
+        for g in game_stream(
+            60, min_n=5, max_n=8, seed=84, stopping=True, proportions=AVE_HEAVY
+        )
+        if len(feedback_vertex_set(g, 2) or ()) == 2
+    ]
+    ours = plain = 0
+    for g in corpus:
+        xs = sorted(feedback_vertex_set(g))
+        counter, reference = CountingSolver(), CountingSolver()
+        values = solve_feedback(g, xs, counter)
+        assert values == tuple(plain_bisection(g, xs, reference))
+        assert counter.calls <= reference.calls
+        ours += counter.calls
+        plain += reference.calls
+    assert len(corpus) > 50
+    assert 5 * ours < plain
+
+
+def test_solve_feedback_matches_strategy_iteration_on_three_vertex_sets():
+    # AVE-heavy random games whose three frozen vertices move each
+    # other's values, so inner levels start from real brackets
+    count = 0
+    for g in game_stream(
+        80, min_n=8, max_n=13, seed=91, stopping=True, proportions=AVE_HEAVY
+    ):
+        fvs = feedback_vertex_set(g, 3)
+        if fvs is None or len(fvs) < 3:
+            continue
+        assert solve_feedback(g, fvs) == hoffman_karp(g).values
+        count += 1
+    assert count >= 25
 
 
 # --- stopping transform ------------------------------------------------------

@@ -105,6 +105,15 @@ def test_vertex_to_sink_keeps_ids():
     assert sub.succs[0] == g.succs[0]
 
 
+@pytest.mark.parametrize("vertex", [-1, -3, 3, 9])
+def test_vertex_to_sink_rejects_ids_outside_the_game(vertex):
+    # a negative id would otherwise index from the end and leave a sink
+    # whose self-loop points at a vertex that does not exist
+    g = game_of([("max", 1, 2), ("min", 0, 2), ("sink", 1)])
+    with pytest.raises(InvalidGameError, match="out of range"):
+        vertex_to_sink(g, vertex, Fraction(1, 3))
+
+
 def test_merge_sink_neighbors_keeps_best_sink_for_each_owner():
     g = game_of([
         ("max", 2, 3, 1),
