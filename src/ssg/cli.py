@@ -273,7 +273,7 @@ def _proportions(text: str) -> tuple[float, float, float, float]:
             "proportions must be four comma-separated numbers (max,min,ave,sink)"
         )
     try:
-        values = tuple(float(p) for p in parts)
+        values = tuple([float(p) for p in parts])
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     if not all(math.isfinite(v) for v in values):
@@ -340,7 +340,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     classify = commands.add_parser("classify", help="report cycle structure")
     classify.add_argument("file")
-    classify.add_argument("--fvs-max", type=_non_negative, default=5, metavar="K")
+    classify.add_argument(
+        "--fvs-max",
+        type=_non_negative,
+        default=5,
+        metavar="K",
+        help="largest feedback vertex set to search for (default 5); the exact search "
+        "branches over short cycles, so its cost grows as (cycle length)^K, not n^K",
+    )
     classify.set_defaults(run=classify_command)
 
     gen = commands.add_parser("generate", help="write a random game file")

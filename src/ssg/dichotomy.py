@@ -31,7 +31,7 @@ Subsolver = Callable[[Game], ValueVector]
 
 def sink_denominator_lcm(game: Game) -> int:
     """Least common denominator of all sink values (1 when sink-free)."""
-    return math.lcm(1, *(game.sink_value(v).denominator for v in game.sink_vertices))
+    return math.lcm(1, *[game.sink_value(v).denominator for v in game.sink_vertices])
 
 
 def value_denominator_bound(game: Game) -> int:
@@ -293,6 +293,6 @@ def make_stopping(game: Game, m: int | None = None) -> Game:
                 values.append(None)
             succs[v][slot] = head
     return Game(
-        tuple(kinds), tuple(tuple(s) for s in succs), tuple(values)
+        tuple(kinds), tuple([tuple(s) for s in succs]), tuple(values)
     )
 

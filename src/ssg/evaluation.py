@@ -251,7 +251,7 @@ def chain_values(game: Game, chosen: Mapping[int, int]) -> ValueVector:
             forms[v] = base
 
     if not forks:
-        return tuple(c for c, _, _ in forms)
+        return tuple([c for c, _, _ in forms])
     index = {f: i for i, f in enumerate(forks)}
     rows: list[dict[int, Fraction]] = []
     rhs: list[Fraction] = []
@@ -270,7 +270,7 @@ def chain_values(game: Game, chosen: Mapping[int, int]) -> ValueVector:
         rows.append(row)
         rhs.append(b)
     x = solve_linear_system(rows, rhs)
-    return tuple(c + gamma * x[index[f]] if gamma else c for c, gamma, f in forms)
+    return tuple([c + gamma * x[index[f]] if gamma else c for c, gamma, f in forms])
 
 
 def _cycle_forms(
@@ -296,7 +296,7 @@ def _cycle_forms(
     cycle = cycle[at:] + cycle[:at]
 
     escapes = [escape[v] for v in cycle if v in escape]
-    q = math.lcm(*(s.denominator for s in escapes))
+    q = math.lcm(*[s.denominator for s in escapes])
     full = (1 << len(escapes)) - 1
     denom = full * q
     m = 0

@@ -4,6 +4,8 @@ Line 1 is the format header "ssg 1".  Every other non-blank line
 describes one vertex: "<id> max|min <succ> <succ> ...",
 "<id> ave <succ> <succ>", or "<id> sink <num>/<den>".  A "#" starts a
 comment.  Ids must be dense starting at 0 but may appear in any order.
+Ids, successors and sink values are written in the ASCII digits 0-9
+only, so that every accepted number serializes back to the same text.
 Serialization writes reduced fractions and ascending ids, and
 parse(serialize(game)) reproduces the game bit-exactly.
 """
@@ -18,7 +20,8 @@ from .model import Game, VertexKind, validate
 
 HEADER = "ssg 1"
 
-_RATIONAL = re.compile(r"^\d+(/\d+)?$")
+_RATIONAL = re.compile(r"[0-9]+(/[0-9]+)?")
+_KINDS = {kind.value: kind for kind in VertexKind}
 
 
 def parse(text: str) -> Game:
@@ -29,6 +32,8 @@ def parse(text: str) -> Game:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        if not line.isascii():
+            raise InvalidGameError(f"line {line_no}: non-ASCII character in {line!r}")
         if not header_seen:
             if line != HEADER:
                 raise InvalidGameError(
@@ -39,14 +44,11 @@ def parse(text: str) -> Game:
         tokens = line.split()
         if len(tokens) < 2:
             raise InvalidGameError(f"line {line_no}: expected '<id> <kind> ...'")
-        try:
-            vid = int(tokens[0])
-        except ValueError:
+        if not tokens[0].isdigit():
             raise InvalidGameError(
-                f"line {line_no}: vertex id {tokens[0]!r} is not an integer"
-            ) from None
-        if vid < 0:
-            raise InvalidGameError(f"line {line_no}: negative vertex id {vid}")
+                f"line {line_no}: vertex id {tokens[0]!r} is not written in digits 0-9"
+            )
+        vid = int(tokens[0])
         if vid in rows:
             raise InvalidGameError(
                 f"line {line_no}: duplicate vertex id {vid} "
@@ -71,30 +73,23 @@ def parse(text: str) -> Game:
     values: list[Fraction | None] = []
     for vid in range(n):
         line_no, tag, rest = rows[vid]
-        try:
-            kind = VertexKind(tag)
-        except ValueError:
-            raise InvalidGameError(
-                f"line {line_no}: unknown vertex kind {tag!r}"
-            ) from None
+        kind = _KINDS.get(tag)
+        if kind is None:
+            raise InvalidGameError(f"line {line_no}: unknown vertex kind {tag!r}")
         kinds.append(kind)
         if kind is VertexKind.SINK:
-            if len(rest) != 1 or not _RATIONAL.match(rest[0]):
+            if len(rest) != 1 or not _RATIONAL.fullmatch(rest[0]):
                 raise InvalidGameError(
-                    f"line {line_no}: sink lines are '<id> sink <num>/<den>'"
+                    f"line {line_no}: sink lines are '<id> sink <num>/<den>' in digits 0-9"
                 )
-            try:
-                value = Fraction(rest[0])
-            except ZeroDivisionError:
-                raise InvalidGameError(
-                    f"line {line_no}: zero denominator in {rest[0]!r}"
-                ) from None
-            if not 0 <= value <= 1:
-                raise InvalidGameError(
-                    f"line {line_no}: sink value {rest[0]} outside [0, 1]"
-                )
+            num, _, den = rest[0].partition("/")
+            num, den = int(num), int(den) if den else 1
+            if not den:
+                raise InvalidGameError(f"line {line_no}: zero denominator in {rest[0]!r}")
+            if num > den:
+                raise InvalidGameError(f"line {line_no}: sink value {rest[0]} outside [0, 1]")
             succs.append((vid,))
-            values.append(value)
+            values.append(Fraction(num, den))
             continue
         if kind is VertexKind.AVE and len(rest) != 2:
             raise InvalidGameError(
@@ -102,19 +97,16 @@ def parse(text: str) -> Game:
             )
         if not rest:
             raise InvalidGameError(f"line {line_no}: vertex {vid} has no successors")
-        out: list[int] = []
-        for token in rest:
-            try:
-                s = int(token)
-            except ValueError:
-                raise InvalidGameError(
-                    f"line {line_no}: successor {token!r} is not an integer"
-                ) from None
-            if not 0 <= s < n:
-                raise InvalidGameError(
-                    f"line {line_no}: successor {s} is not a vertex id"
-                )
-            out.append(s)
+        out = [int(token) for token in rest if token.isdigit()]
+        if len(out) < len(rest):
+            bad = next(token for token in rest if not token.isdigit())
+            raise InvalidGameError(
+                f"line {line_no}: successor {bad!r} is not written in digits 0-9"
+            )
+        if max(out) >= n:
+            raise InvalidGameError(
+                f"line {line_no}: successor {max(out)} is not a vertex id"
+            )
         succs.append(tuple(out))
         values.append(None)
     game = Game(tuple(kinds), tuple(succs), tuple(values))

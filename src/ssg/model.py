@@ -89,7 +89,7 @@ class Game:
         return value
 
     def vertices_of(self, kind: VertexKind) -> tuple[int, ...]:
-        return tuple(v for v, k in enumerate(self.kinds) if k is kind)
+        return tuple([v for v, k in enumerate(self.kinds) if k is kind])
 
     @cached_property
     def structure(self):
@@ -215,7 +215,7 @@ def game_of(rows: Sequence[tuple]) -> Game:
             succs.append((v,))
             values.append(as_fraction(row[1]))
         else:
-            succs.append(tuple(int(s) for s in row[1:]))
+            succs.append(tuple([int(s) for s in row[1:]]))
             values.append(None)
     game = Game(tuple(kinds), tuple(succs), tuple(values))
     validate(game)

@@ -64,7 +64,7 @@ def oracle_solve(game: Game, cap: int = DEFAULT_CAP) -> OracleResult:
     taus = list(enumerate_strategies(game, Player.MIN))
 
     lows = [
-        tuple(map(min, *(evaluate(game, s, t) for t in taus)))
+        tuple(map(min, *[evaluate(game, s, t) for t in taus]))
         if len(taus) > 1
         else evaluate(game, s, taus[0])
         for s in sigmas
@@ -72,7 +72,7 @@ def oracle_solve(game: Game, cap: int = DEFAULT_CAP) -> OracleResult:
     maximin = tuple(map(max, *lows)) if len(lows) > 1 else lows[0]
 
     highs = [
-        tuple(map(max, *(evaluate(game, s, t) for s in sigmas)))
+        tuple(map(max, *[evaluate(game, s, t) for s in sigmas]))
         if len(sigmas) > 1
         else evaluate(game, sigmas[0], t)
         for t in taus

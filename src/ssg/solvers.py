@@ -234,7 +234,7 @@ def _positional_fork_component(cgame: Game) -> ValueVector:
         sub = cgame
         for v, keep in zip(forks, combo):
             cycle = report.cycle_succs[v]
-            kept = tuple(s for s in sub.succs[v] if s not in cycle or s == keep)
+            kept = tuple([s for s in sub.succs[v] if s not in cycle or s == keep])
             sub = _with_succs(sub, v, kept)
         w = solve_by_scc(sub, _average_fork_component)
         if check_local_optimality(cgame, w).satisfied:

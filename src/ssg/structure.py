@@ -6,16 +6,18 @@ on some cycle avoiding sinks (equivalently, both endpoints share a
 strongly connected component that contains a cycle), and a vertex is a
 *fork* when two or more of its arcs are cycle arcs.  The fork counts
 k_p (positional) and k_a (average) weigh each fork by its surplus of
-cycle arcs beyond the first.
+cycle arcs beyond the first.  The smallest feedback vertex set is found
+by an exact branching search over shortest cycles, whose cost grows
+with the set size k as (cycle length)^k rather than n^k.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
+from .errors import InternalInvariantError
 from .model import Game, VertexKind, as_fraction
 
 ZERO = Fraction(0)
@@ -152,7 +154,7 @@ def analyze(game: Game) -> StructureReport:
             forks = fork_average if game.kinds[v] is VertexKind.AVE else fork_positional
             forks[v] = len(targets)
     return StructureReport(
-        components=tuple(tuple(c) for c in comps),
+        components=tuple([tuple(c) for c in comps]),
         component_of=tuple(component_of),
         cycle_succs=tuple(cycle_succs),
         cycle_arcs=frozenset((v, s) for v, targets in enumerate(cycle_succs) for s in targets),
@@ -184,13 +186,13 @@ def component_game(
     """
     boundary = boundary or {}
     inside = set(component)
-    ids = tuple(sorted(inside.union(*(game.succs[v] for v in component))))
+    ids = tuple(sorted(inside.union(*[game.succs[v] for v in component])))
     local = {v: i for i, v in enumerate(ids)}
     kinds, succs, values = [], [], []
     for i, v in enumerate(ids):
         if v in inside:
             kinds.append(game.kinds[v])
-            succs.append(tuple(local[s] for s in game.succs[v]))
+            succs.append(tuple([local[s] for s in game.succs[v]]))
             values.append(game.sink_values[v])
         else:
             kinds.append(VertexKind.SINK)
@@ -237,21 +239,188 @@ def is_feedback_set(game: Game, vertices) -> bool:
 def feedback_vertex_set(game: Game, k_max: int | None = None) -> tuple[int, ...] | None:
     """Smallest vertex set whose removal leaves the sink-free graph acyclic.
 
-    Plain subset enumeration: sizes 0, 1, 2, ... up to k_max, subsets
-    of each size in lexicographic id order, first hit wins.  Exact and
-    deterministic; exponential in k_max, which is the point of the cap.
-    Returns None when no set within the cap works.
+    Of all smallest sets, the lexicographically first sorted tuple;
+    None when every such set has more than k_max vertices.  Cycles lie
+    inside strongly connected components, so each cyclic component of
+    game.structure is covered on its own and the union is the answer.
+    Per component, a branching search finds the least size that works
+    (_coverable), and the cover is then built greedily (_first_cover):
+    its first vertex is the smallest one in any cover of that size, its
+    second the smallest above the first in any such cover holding the
+    first, and so on.
+
+    Cost: a search with budget b has at most g^b leaves, where g is the
+    most chain classes (see _chains) on a shortest cycle it branches
+    over, and each node costs O(h * (n + m)) for its h chain heads;
+    the greedy pass repeats it for at most one candidate per chain
+    class and cover vertex.  That is polynomial for fixed k_max and g
+    where subset enumeration cost n^k_max, and a component that trims
+    to disjoint simple cycles (a single_cycle game) costs O(n + m).
     """
-    vertices = [v for v in range(game.n) if not game.is_sink(v)]
-    succs = {
-        v: [s for s in set(game.succs[v]) if not game.is_sink(s)] for v in vertices
-    }
-    if k_max is None:
-        k_max = len(vertices)
-    for size in range(min(k_max, len(vertices)) + 1):
-        for combo in itertools.combinations(vertices, size):
-            removed = set(combo)
-            keep = [v for v in vertices if v not in removed]
-            if topological_order(keep, succs) is not None:
-                return combo
+    report = game.structure
+    succ = report.cycle_succs
+    pred: list[list[int]] = [[] for _ in range(game.n)]
+    for v in range(game.n):
+        for s in succ[v]:
+            pred[s].append(v)
+    left = game.n if k_max is None else k_max
+    cover: list[int] = []
+    for comp in report.components:
+        if not succ[comp[0]]:
+            continue  # no cycle in this component
+        size = next((b for b in range(1, left + 1) if _coverable(succ, pred, comp, b)), None)
+        if size is None:
+            return None
+        left -= size
+        cover += _first_cover(succ, pred, comp, size)
+    return tuple(sorted(cover))
+
+
+def _trim(succ, pred, live) -> tuple[set[int], dict[int, int], dict[int, int]]:
+    """The vertices of live left after repeatedly dropping those with no
+    live predecessor or no live successor, with the in- and out-degrees
+    of the survivors inside that set.  Dropped vertices lie on no cycle.
+    """
+    indeg = dict.fromkeys(live, 0)
+    outdeg = {}
+    for v in indeg:
+        out = 0
+        for s in succ[v]:
+            if s in indeg:
+                indeg[s] += 1
+                out += 1
+        outdeg[v] = out
+    alive = set(indeg)
+    queue = [v for v in indeg if not indeg[v] or not outdeg[v]]
+    while queue:
+        v = queue.pop()
+        if v not in alive:
+            continue
+        alive.remove(v)
+        for s in succ[v]:
+            if s in alive:
+                indeg[s] -= 1
+                if not indeg[s]:
+                    queue.append(s)
+        for p in pred[v]:
+            if p in alive:
+                outdeg[p] -= 1
+                if not outdeg[p]:
+                    queue.append(p)
+    return alive, indeg, outdeg
+
+
+def _chains(succ, alive, indeg, outdeg) -> tuple[list[list[int]], list[list[int]]]:
+    """The chain classes of a trimmed graph, as (chains, loops).
+
+    An arc p -> v that is p's only arc out and v's only arc in joins p
+    and v in one class, so every cycle through a class runs through all
+    of it and deleting any member breaks the same cycles.  A chain
+    starts at its head, the one member entered by no such arc; a loop is
+    a class closed on itself, a simple cycle with no other arc in or out.
+    """
+    after = {}
+    for v in alive:
+        if outdeg[v] == 1:
+            s = next(s for s in succ[v] if s in alive)
+            if indeg[s] == 1:
+                after[v] = s
+    joined = set(after.values())
+    chains, loops = [], []
+    for v in alive:
+        if v not in joined:
+            chain = [v]
+            while chain[-1] in after:
+                chain.append(after[chain[-1]])
+            chains.append(chain)
+    left = joined.difference(*chains)
+    while left:
+        loop = [left.pop()]
+        while after[loop[-1]] != loop[0]:
+            loop.append(after[loop[-1]])
+            left.remove(loop[-1])
+        loops.append(loop)
+    return chains, loops
+
+
+def _cycle_through(succ, alive, root, limit) -> list[int] | None:
+    """A shortest cycle through root with fewer than limit vertices, in
+    path order from root, by breadth-first search; None if there is none.
+    """
+    parent = {root: root}
+    layer = [root]
+    for _ in range(limit - 1):
+        below = []
+        for x in layer:
+            for s in succ[x]:
+                if s == root:
+                    path = [x]
+                    while path[-1] != root:
+                        path.append(parent[path[-1]])
+                    path.reverse()
+                    return path
+                if s in alive and s not in parent:
+                    parent[s] = x
+                    below.append(s)
+        if not below:
+            return None
+        layer = below
     return None
+
+
+def _coverable(succ, pred, live, budget: int) -> bool:
+    """Whether deleting at most budget vertices breaks every cycle among
+    the live vertices.
+
+    Trims the graph, charges one vertex to each loop, and branches over
+    the chain classes of a shortest cycle: one of them must lose a
+    vertex, and any of its members will do.  Every cycle runs through a
+    chain head, so searching from the heads alone finds a shortest one.
+    """
+    alive, indeg, outdeg = _trim(succ, pred, live)
+    chains, loops = _chains(succ, alive, indeg, outdeg)
+    for loop in loops:
+        alive.difference_update(loop)
+    budget -= len(loops)
+    if not chains or budget <= 0:
+        return budget >= 0 and not chains
+    cycle, limit = None, len(alive) + 1
+    for chain in chains:
+        found = _cycle_through(succ, alive, chain[0], limit)
+        if found:
+            cycle, limit = found, len(found)
+    owner = {v: chain for chain in chains for v in chain}
+    heads = {owner[v][0] for v in cycle}
+    return any(_coverable(succ, pred, alive - {h}, budget - 1) for h in heads)
+
+
+def _first_cover(succ, pred, comp, size: int) -> list[int]:
+    """The lexicographically first cover of the component with size
+    vertices, which is the least size that covers it.
+
+    Each vertex is the smallest one above the last that some cover of
+    that size extends the chosen vertices with.  That cover has no
+    other vertex below it, since such a vertex would have been chosen
+    first, so the greedy choice is the lexicographic one.  When a
+    candidate fails, the later members of its chain class fail too (a
+    cover through one would work through the first), so they are
+    skipped.
+    """
+    chosen: list[int] = []
+    live = set(comp)
+    while len(chosen) < size:
+        alive, indeg, outdeg = _trim(succ, pred, live)
+        chains, loops = _chains(succ, alive, indeg, outdeg)
+        owner = {v: chain for chain in chains + loops for v in chain}
+        failed: set[int] = set()
+        for v in sorted(alive):
+            if chosen and v < chosen[-1] or v in failed:
+                continue
+            if _coverable(succ, pred, alive - {v}, size - len(chosen) - 1):
+                chosen.append(v)
+                live = alive - {v}
+                break
+            failed.update(owner[v])
+        else:
+            raise InternalInvariantError("no vertex extends the feedback set")
+    return chosen

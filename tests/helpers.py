@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from ssg.errors import InternalInvariantError
 from ssg.evaluation import check_stopping, one_step_value
 from ssg.generate import DEFAULT_PROPORTIONS, Family, GeneratorSpec, generate
 from ssg.model import Game, Player, Strategy, VertexKind, vertex_to_sink
+from ssg.structure import topological_order
 
 
 def game_stream(
@@ -214,3 +216,24 @@ def plain_bisection(game: Game, xs, subsolver):
             hi = mid
     candidate = stern_brocot(lo, hi, bound)
     return plain_bisection(vertex_to_sink(game, x, candidate), rest, subsolver)
+
+
+def brute_feedback_vertex_set(game: Game, k_max: int | None = None):
+    """Smallest feedback vertex set by plain subset enumeration.
+
+    The tests' reference for structure.feedback_vertex_set: sizes 0, 1,
+    2, ... up to k_max, subsets of each size in lexicographic id order,
+    first hit wins; None when no set within the cap works.  It costs
+    n^k_max, so the tests keep n and k_max small.
+    """
+    vertices = [v for v in range(game.n) if not game.is_sink(v)]
+    succs = {v: [s for s in set(game.succs[v]) if not game.is_sink(s)] for v in vertices}
+    if k_max is None:
+        k_max = len(vertices)
+    for size in range(min(k_max, len(vertices)) + 1):
+        for combo in itertools.combinations(vertices, size):
+            removed = set(combo)
+            keep = [v for v in vertices if v not in removed]
+            if topological_order(keep, succs) is not None:
+                return combo
+    return None

@@ -95,3 +95,30 @@ def test_round_trip_is_exact():
 def test_serialized_text_is_stable():
     for g in game_stream(20, seed=89):
         assert serialize(parse(serialize(g))) == serialize(g)
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("ssg 1\n+1 sink 1/1\n0 max 1\n", 2),  # signed id
+        ("ssg 1\n0 max 1\n0_1 sink 1/1\n", 3),  # underscore in an id
+        ("ssg 1\n0 max +1\n1 sink 1/1\n", 2),  # signed successor
+        ("ssg 1\n0 max 0_1\n1 sink 1/1\n", 2),
+        ("ssg 1\n٠ max ١ 1\n1 sink 1/1\n", 2),  # Arabic-Indic digits
+        ("ssg 1\n0 max ١\n1 sink 1/1\n", 2),
+        ("ssg 1\n0 max 1\n1 sink ١/٢\n", 3),
+        ("ssg 1\n0 max 1\n1 sink +1/2\n", 3),
+        ("ssg 1\n0 max 1\n1 sink 1_0/2_0\n", 3),
+        ("ssg 1\n0 max 1\n1 sink 1/２\n", 3),  # fullwidth digit
+    ],
+)
+def test_parse_takes_numbers_in_ascii_digits_only(text, line):
+    # each of these used to parse and then serialize back as other text
+    with pytest.raises(InvalidGameError, match=f"line {line}:"):
+        parse(text)
+
+
+def test_parse_keeps_leading_zeros_and_reduces_sinks():
+    g = parse("ssg 1\n00 max 01 1\n1 sink 02/04\n")
+    assert g.succs[0] == (1, 1)
+    assert serialize(g) == "ssg 1\n0 max 1 1\n1 sink 1/2\n"

@@ -1,11 +1,15 @@
 """Component decomposition, cycle arcs, fork counting, feedback sets."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
-from helpers import game_stream
-from ssg.errors import PreconditionError
+from helpers import brute_feedback_vertex_set, game_stream
+from ssg import structure
+from ssg.cli import choose_algorithm
+from ssg.errors import InvalidGameError, PreconditionError
+from ssg.generate import Family, GeneratorSpec, generate
 from ssg.model import game_of
 from ssg.structure import (
     analyze,
@@ -186,3 +190,140 @@ def test_topological_order_points_arcs_forward_and_rejects_cycles():
     assert topological_order([0, 1, 2], cycle) is None
     # arcs leaving the given vertices are ignored
     assert topological_order([0, 1], cycle) == [0, 1]
+
+
+AVE_HEAVY = (0.15, 0.15, 0.6, 0.1)
+PROPORTION_MIXES = [(0.3, 0.3, 0.2, 0.2), AVE_HEAVY, (0.3, 0.3, 0.3, 0.1)]
+
+
+def feedback_corpus():
+    """Seeded games of every cyclic family and proportion mix, with the
+    caps each is checked at: 0-3 everywhere, uncapped up to n = 14."""
+    for family in (Family.RANDOM, Family.SINGLE_CYCLE, Family.MAX_ACYCLIC, Family.DAG_PLUS_K):
+        for mix in PROPORTION_MIXES:
+            for n in range(4, 23):
+                for s in range(3 if n <= 14 else 1):
+                    spec = GeneratorSpec(
+                        n=n, family=family, seed=97 * n + s, proportions=mix, k=1 + s
+                    )
+                    try:
+                        g = generate(spec)
+                    except InvalidGameError:
+                        continue  # dag_plus_k too small for its k
+                    yield g, [0, 1, 2, 3] + ([None] if n <= 14 else [])
+
+
+def test_feedback_vertex_set_matches_subset_enumeration():
+    checked = found = 0
+    for g, caps in feedback_corpus():
+        for cap in caps:
+            got = feedback_vertex_set(g, cap)
+            assert got == brute_feedback_vertex_set(g, cap), (g, cap)
+            checked += 1
+            found += got is not None and len(got) >= 2
+    assert checked >= 1500
+    assert found >= 300  # the greedy pass often picks more than one vertex
+
+
+def test_feedback_vertex_set_on_hand_made_games():
+    cases = [
+        # a self-loop on a non-sink vertex is a cycle of its own
+        (game_of([("max", 0, 1), ("sink", 1)]), (0,)),
+        (game_of([("min", 1, 2), ("max", 1, 0), ("sink", 0)]), (1,)),
+        # two cyclic components with interleaved ids: {0, 2, 4} needs 4
+        # and {1, 3, 5} needs 3, so the answer mixes both components
+        (
+            game_of([
+                ("max", 4, 1),
+                ("min", 3, 5),
+                ("max", 4),
+                ("min", 1, 5),
+                ("ave", 0, 2),
+                ("max", 3, 6),
+                ("sink", Fraction(1, 2)),
+            ]),
+            (3, 4),
+        ),
+        # exits that reach only sinks are on no cycle
+        (
+            game_of([
+                ("max", 1, 2),
+                ("ave", 0, 3),
+                ("min", 4, 5),
+                ("ave", 4, 5),
+                ("sink", 0),
+                ("sink", 1),
+            ]),
+            (0,),
+        ),
+    ]
+    for g, expected in cases:
+        assert feedback_vertex_set(g) == expected == brute_feedback_vertex_set(g)
+        assert feedback_vertex_set(g, len(expected) - 1) is None
+        assert is_feedback_set(g, expected)
+
+
+class CountedSuccessors:
+    """A cycle-successor table that counts how often the search reads a
+    vertex's row, and stops it once the count passes a limit."""
+
+    def __init__(self, rows, limit: int):
+        self.rows, self.limit, self.reads = rows, limit, 0
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __getitem__(self, v):
+        self.reads += 1
+        if self.reads > self.limit:
+            raise AssertionError(f"feedback set search read over {self.limit} rows")
+        return self.rows[v]
+
+
+def long_cycle(n: int, chords: dict[int, int]):
+    """MAX vertices 0 -> 1 -> ... -> n-1 -> 0, each with an arc to the
+    sink n, plus one chord arc from each key to its value."""
+    rows = [("max", (v + 1) % n, n, *([chords[v]] if v in chords else [])) for v in range(n)]
+    return game_of(rows + [("sink", 1)])
+
+
+VISITS_PER_VERTEX = 100
+
+
+@pytest.mark.parametrize(
+    "make, expected",
+    [
+        (lambda: generate(GeneratorSpec(n=10_000, family=Family.SINGLE_CYCLE, seed=1)), (0,)),
+        # three disjoint cycles of 1,500-2,000 vertices, each sharing a
+        # stretch with the long cycle: a shortest-cycle search started from
+        # every vertex would read millions of rows
+        (lambda: long_cycle(10_000, {2500: 500, 6000: 4000, 9000: 7500}), (500, 4000, 7500)),
+        # overlapping chords: 30 lies on every cycle
+        (lambda: long_cycle(10_000, {5000: 10, 5010: 20, 7000: 30}), (30,)),
+    ],
+)
+def test_feedback_search_reads_each_vertex_a_bounded_number_of_times(make, expected):
+    # a count, not a clock: the search reads game.structure.cycle_succs
+    # for every vertex it trims, walks or expands
+    g = make()
+    report = g.structure
+    rows = CountedSuccessors(report.cycle_succs, VISITS_PER_VERTEX * g.n)
+    vars(g)["structure"] = dataclasses.replace(report, cycle_succs=rows)
+    assert feedback_vertex_set(g) == expected
+    assert feedback_vertex_set(g, len(expected) - 1) is None
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_auto_set_search_reuses_the_game_structure(monkeypatch, seed):
+    # random n=45 seed 1 ends in hk, seed 3 in feedback; both search
+    seen = []
+    analyze = structure.analyze
+
+    def recording_analyze(game):
+        seen.append(game)
+        return analyze(game)
+
+    monkeypatch.setattr(structure, "analyze", recording_analyze)
+    g = generate(GeneratorSpec(n=45, family=Family.RANDOM, seed=seed))
+    assert choose_algorithm(g) in ("feedback", "hk")
+    assert seen == [g]
