@@ -12,7 +12,10 @@ merging keep the numbering of the input game, and every public solver
 returns values in it.  Component subgames are compact, renumbered in
 original id order; solve_by_scc maps their values back.  Games are
 immutable, so game.structure analyses a game on first use and keeps the
-report: each game object is analysed at most once.
+report.  A request analyses its input game once; a component game
+inherits its report from the game it is cut from, and only games a
+solver reshapes (the opened and branch games of the fork recursion)
+are analysed again.
 """
 
 from __future__ import annotations
@@ -93,7 +96,12 @@ class Game:
 
     @cached_property
     def structure(self):
-        """structure.analyze(self), computed on first use."""
+        """structure.analyze(self), computed on first use and kept.
+
+        structure.component_game puts a component game's report here
+        when it builds the game, read off its parent's, so that game is
+        never analysed.
+        """
         from .structure import analyze  # looked up per call; structure imports model
 
         return analyze(self)

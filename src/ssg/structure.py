@@ -8,7 +8,8 @@ strongly connected component that contains a cycle), and a vertex is a
 k_p (positional) and k_a (average) weigh each fork by its surplus of
 cycle arcs beyond the first.  The smallest feedback vertex set is found
 by an exact branching search over shortest cycles, whose cost grows
-with the set size k as (cycle length)^k rather than n^k.
+with the set size k as (cycle length)^k rather than n^k; a greedy count
+of disjoint cycles cuts off the branches that cannot succeed.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .errors import InternalInvariantError
+from .errors import InternalInvariantError, PreconditionError
 from .model import Game, VertexKind, as_fraction
 
 ZERO = Fraction(0)
@@ -147,14 +148,19 @@ def analyze(game: Game) -> StructureReport:
         cycle_succs[v] = tuple(
             sorted({s for s in game.succs[v] if not sink[s] and component_of[s] == c})
         )
+    return _report(game.kinds, [tuple(c) for c in comps], component_of, cycle_succs)
 
+
+def _report(kinds, components, component_of, cycle_succs) -> StructureReport:
+    """The report whose cycle-arc targets are cycle_succs: forks, fork
+    counts, flags and cycle arcs all follow from them."""
     fork_positional, fork_average = {}, {}
     for v, targets in enumerate(cycle_succs):
         if len(targets) >= 2:
-            forks = fork_average if game.kinds[v] is VertexKind.AVE else fork_positional
+            forks = fork_average if kinds[v] is VertexKind.AVE else fork_positional
             forks[v] = len(targets)
     return StructureReport(
-        components=tuple([tuple(c) for c in comps]),
+        components=tuple(components),
         component_of=tuple(component_of),
         cycle_succs=tuple(cycle_succs),
         cycle_arcs=frozenset((v, s) for v, targets in enumerate(cycle_succs) for s in targets),
@@ -162,12 +168,8 @@ def analyze(game: Game) -> StructureReport:
         fork_average=fork_average,
         k_p=sum(c - 1 for c in fork_positional.values()),
         k_a=sum(c - 1 for c in fork_average.values()),
-        is_max_acyclic=all(
-            game.kinds[v] is not VertexKind.MAX for v in fork_positional
-        ),
-        is_min_acyclic=all(
-            game.kinds[v] is not VertexKind.MIN for v in fork_positional
-        ),
+        is_max_acyclic=all(kinds[v] is not VertexKind.MAX for v in fork_positional),
+        is_min_acyclic=all(kinds[v] is not VertexKind.MIN for v in fork_positional),
     )
 
 
@@ -177,23 +179,38 @@ def component_game(
     """Compact game of one component: its vertices plus the distinct
     vertices its arcs leave into, the latter turned into sinks.
 
+    The component must be one of game.structure.components; any other
+    vertex set raises PreconditionError.
+
     Returns (sub, ids), where ids[i] is the original id of local vertex
     i.  Local ids follow original id order, so every "ties to the
     smallest id" rule picks the same vertex in the subgame as in the
     game.  Boundary values fill in the frontier sinks; a frontier sink
     absent from the mapping keeps its own value, and any other frontier
     vertex absent from it gets the placeholder 0.
+
+    The subgame's structure report is read off the game's in
+    O(component) work and cached on it, so sub.structure never runs
+    analyze: the component keeps its cycle arcs (mapped to local ids,
+    which keeps them sorted) and comes last, after one singleton per
+    frontier sink.
     """
-    boundary = boundary or {}
+    report = game.structure
     inside = set(component)
+    first = min(inside, default=-1)
+    own = report.components[report.component_of[first]] if 0 <= first < game.n else ()
+    if not own or inside != set(own):
+        raise PreconditionError(f"{sorted(inside)} is not a strongly connected component")
+    boundary = boundary or {}
     ids = tuple(sorted(inside.union(*[game.succs[v] for v in component])))
     local = {v: i for i, v in enumerate(ids)}
-    kinds, succs, values = [], [], []
+    kinds, succs, values, cycle_succs, frontier = [], [], [], [], []
     for i, v in enumerate(ids):
         if v in inside:
             kinds.append(game.kinds[v])
             succs.append(tuple([local[s] for s in game.succs[v]]))
             values.append(game.sink_values[v])
+            cycle_succs.append(tuple([local[s] for s in report.cycle_succs[v]]))
         else:
             kinds.append(VertexKind.SINK)
             succs.append((i,))
@@ -201,7 +218,15 @@ def component_game(
                 values.append(boundary.get(v, game.sink_value(v)))
             else:
                 values.append(as_fraction(boundary.get(v, ZERO)))
-    return Game(tuple(kinds), tuple(succs), tuple(values)), ids
+            cycle_succs.append(())
+            frontier.append((i,))
+    sub = Game(tuple(kinds), tuple(succs), tuple(values))
+    component_of = [len(frontier)] * sub.n
+    for c, (i,) in enumerate(frontier):
+        component_of[i] = c
+    inner = tuple([local[v] for v in own])
+    sub.__dict__["structure"] = _report(kinds, frontier + [inner], component_of, cycle_succs)
+    return sub, ids
 
 
 def topological_order(vertices: Iterable[int], succs) -> list[int] | None:
@@ -368,14 +393,46 @@ def _cycle_through(succ, alive, root, limit) -> list[int] | None:
     return None
 
 
+def _shortest_cycle(succ, alive, chains) -> list[int]:
+    """A shortest cycle of a trimmed graph without loops.  Every cycle
+    runs through a chain head, so searching from the heads alone finds
+    one."""
+    cycle, limit = [], len(alive) + 1
+    for chain in chains:
+        found = _cycle_through(succ, alive, chain[0], limit)
+        if found:
+            cycle, limit = found, len(found)
+    return cycle
+
+
+def _disjoint_cycles(succ, pred, live, cap: int) -> int:
+    """How many vertex-disjoint cycles among the live vertices a greedy
+    pass finds, stopping once the count passes cap: each loop counts as
+    one, then a shortest cycle is deleted and the rest trimmed again.
+    Every cover needs one vertex per such cycle."""
+    count = 0
+    while count <= cap:
+        alive, indeg, outdeg = _trim(succ, pred, live)
+        chains, loops = _chains(succ, alive, indeg, outdeg)
+        count += len(loops)
+        if not chains:
+            break
+        for loop in loops:
+            alive.difference_update(loop)
+        live = alive.difference(_shortest_cycle(succ, alive, chains))
+        count += 1
+    return count
+
+
 def _coverable(succ, pred, live, budget: int) -> bool:
     """Whether deleting at most budget vertices breaks every cycle among
     the live vertices.
 
     Trims the graph, charges one vertex to each loop, and branches over
     the chain classes of a shortest cycle: one of them must lose a
-    vertex, and any of its members will do.  Every cycle runs through a
-    chain head, so searching from the heads alone finds a shortest one.
+    vertex, and any of its members will do.  Before branching it
+    refuses a budget below the greedy count of disjoint cycles, so a
+    search that must fail stops without walking its tree.
     """
     alive, indeg, outdeg = _trim(succ, pred, live)
     chains, loops = _chains(succ, alive, indeg, outdeg)
@@ -384,11 +441,9 @@ def _coverable(succ, pred, live, budget: int) -> bool:
     budget -= len(loops)
     if not chains or budget <= 0:
         return budget >= 0 and not chains
-    cycle, limit = None, len(alive) + 1
-    for chain in chains:
-        found = _cycle_through(succ, alive, chain[0], limit)
-        if found:
-            cycle, limit = found, len(found)
+    cycle = _shortest_cycle(succ, alive, chains)
+    if _disjoint_cycles(succ, pred, alive.difference(cycle), budget - 1) >= budget:
+        return False
     owner = {v: chain for chain in chains for v in chain}
     heads = {owner[v][0] for v in cycle}
     return any(_coverable(succ, pred, alive - {h}, budget - 1) for h in heads)

@@ -9,7 +9,7 @@ from helpers import brute_feedback_vertex_set, game_stream
 from ssg import structure
 from ssg.cli import choose_algorithm
 from ssg.errors import InvalidGameError, PreconditionError
-from ssg.generate import Family, GeneratorSpec, generate
+from ssg.generate import DEFAULT_PROPORTIONS, Family, GeneratorSpec, generate
 from ssg.model import game_of
 from ssg.structure import (
     analyze,
@@ -143,6 +143,78 @@ def test_component_game_keeps_ids_and_converts_boundary():
     bare, bare_ids = component_game(g, comp)
     assert bare_ids == ids
     assert bare.is_sink(3) and bare.sink_value(3) == 0
+
+
+def test_component_game_refuses_a_vertex_set_that_is_not_a_component():
+    g = layered_game()  # components {4}, {2, 3}, {0, 1}
+    assert component_game(g, (3, 2))[1] == (2, 3, 4)
+    for vertices in [(0,), (0, 1, 2), (1, 3), (), (5,), (-1, 4)]:
+        with pytest.raises(PreconditionError, match="not a strongly connected component"):
+            component_game(g, vertices)
+
+
+def assert_inherits_the_analysis(game, comp, boundary=None) -> bool:
+    """component_game's report for comp agrees with analysing its
+    compact game from scratch; returns whether comp is cyclic."""
+    sub, _ = component_game(game, comp, boundary)
+    got, want = vars(sub)["structure"], analyze(sub)
+    for field in (
+        "cycle_succs", "cycle_arcs", "fork_positional", "fork_average",
+        "k_p", "k_a", "is_max_acyclic", "is_min_acyclic",
+    ):
+        assert getattr(got, field) == getattr(want, field), (game, comp, field)
+    # the same sets, but the frontier singletons may come in another order
+    assert sorted(got.components) == sorted(want.components), (game, comp)
+    for i, members in enumerate(got.components):
+        for v in members:
+            assert got.component_of[v] == i
+            assert all(got.component_of[s] <= i for s in sub.succs[v])
+    return bool(got.cycle_arcs)
+
+
+def inherited_report_corpus():
+    """Seeded games of every cyclic family, at the default and an
+    AVE-heavy mix, n = 4-40, with k = 1-3 for dag_plus_k."""
+    for family in (Family.RANDOM, Family.SINGLE_CYCLE, Family.MAX_ACYCLIC, Family.DAG_PLUS_K):
+        for mix in (DEFAULT_PROPORTIONS, AVE_HEAVY):
+            for n in range(4, 41):
+                for k in (1, 2, 3) if family is Family.DAG_PLUS_K else (1,):
+                    spec = GeneratorSpec(n=n, family=family, seed=31 * n + k, proportions=mix, k=k)
+                    try:
+                        yield generate(spec)
+                    except InvalidGameError:
+                        continue  # dag_plus_k too small for its k
+
+
+def test_component_games_inherit_the_report_analyze_gives_them():
+    cyclic = 0
+    for g in inherited_report_corpus():
+        for comp in g.structure.components:
+            cyclic += assert_inherits_the_analysis(g, comp)
+    assert cyclic >= 700
+
+
+def test_component_games_inherit_the_report_on_hand_made_games():
+    # a non-sink self-loop is a cyclic component of its own
+    loop = game_of([("ave", 1, 2), ("max", 1, 2), ("sink", 1)])
+    assert assert_inherits_the_analysis(loop, (1,))
+    # a frontier of parent sinks and solved non-sink vertices, with
+    # the component's ids interleaved with its frontier's
+    g = game_of([
+        ("sink", Fraction(1, 4)),
+        ("max", 3, 0, 2),
+        ("ave", 5, 6),
+        ("min", 1, 5, 7),
+        ("ave", 2, 7),
+        ("sink", Fraction(1, 2)),
+        ("sink", 0),
+        ("ave", 3, 4),
+    ])
+    assert sorted(g.structure.components[-1]) == [1, 3, 4, 7]
+    solved = {0: Fraction(1, 4), 2: Fraction(1, 4), 5: Fraction(1, 2), 6: Fraction(0)}
+    assert assert_inherits_the_analysis(g, g.structure.components[-1], solved)
+    for comp in g.structure.components:
+        assert_inherits_the_analysis(g, comp, solved)
 
 
 def test_feedback_vertex_set_single_cycle():
@@ -327,3 +399,21 @@ def test_auto_set_search_reuses_the_game_structure(monkeypatch, seed):
     g = generate(GeneratorSpec(n=45, family=Family.RANDOM, seed=seed))
     assert choose_algorithm(g) in ("feedback", "hk")
     assert seen == [g]
+
+
+def test_a_capped_set_search_that_fails_stops_at_its_cycle_count(monkeypatch):
+    # a count, not a clock: one 49-vertex component whose smallest set
+    # has 6 vertices; without a lower bound the search under cap 5 made
+    # 3,522 calls before it returned None
+    calls = []
+    coverable = structure._coverable
+
+    def counting(*args):
+        calls.append(args)
+        return coverable(*args)
+
+    monkeypatch.setattr(structure, "_coverable", counting)
+    g = generate(GeneratorSpec(n=80, family=Family.RANDOM, seed=3, proportions=AVE_HEAVY))
+    assert feedback_vertex_set(g, 5) is None
+    assert 0 < len(calls) <= 1761
+    assert feedback_vertex_set(g, 6) == (7, 17, 27, 39, 52, 66)
