@@ -371,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--solvers", type=_solver_list, required=True, metavar="S1,S2,..."
     )
     bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--reps", type=_non_negative, default=1)
+    bench.add_argument("--reps", type=_positive, default=1)
     bench.add_argument("--k", type=_positive, default=1)
     bench.add_argument(
         "--proportions",

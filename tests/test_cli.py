@@ -378,12 +378,13 @@ def test_empty_lists_and_k_below_one_are_usage_errors(capsys):
         assert message in captured.err
 
 
-def test_bench_rejects_negative_reps(capsys):
+def test_bench_rejects_non_positive_reps(capsys):
     argv = ["bench", "--family", "single_cycle", "--sizes", "6", "--solvers", "auto"]
-    assert main(argv + ["--reps", "-1"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "-1 is negative" in captured.err
+    for reps in ("-1", "0"):
+        assert main(argv + ["--reps", reps]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{reps} is not positive" in captured.err
 
 
 # --- one solver list ------------------------------------------------------------
