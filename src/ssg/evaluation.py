@@ -7,14 +7,16 @@ computes these values exactly for any such choice of arcs: evaluate
 hands it a strategy pair, solvers.closed_values the cycle arcs of a
 component.  Sinks and the vertices of value zero (those that cannot
 reach a positive sink) are settled first.  Every other vertex walks
-forward to the first settled vertex or fork, so its value is affine in
-the value of at most one fork, an AVE vertex with two distinct
-unsettled successors.  A walk that closes a cycle without a fork is
-solved in closed form by an integer recurrence, and the forks alone
-solve an exact linear system over the rationals.  That system is built
-sparse, one dict row of at most three entries per fork, and eliminated
-in greedy Markowitz order (fewest holding rows first), so a chain of
-forks such as a coin chain folds without fill.
+forward to the first settled vertex, fork or anchor and keeps an
+integer form: its value is (c/Q + x_base) / 2^k, Q the lcm of the
+settled denominators, x_base the value of a fork (an AVE vertex with
+two distinct unsettled successors) or of an anchor, where a walk
+closed a cycle without a fork and is solved in closed form.  The forks
+alone solve an integer linear system, built sparse, one dict row of at
+most three entries per fork, and eliminated fraction-free in greedy
+Markowitz order (fewest holding rows first), so a chain of forks such
+as a coin chain folds without fill.  Each value becomes one Fraction,
+at the end.
 
 Both best responses and iteration.hoffman_karp run one guarded
 improvement loop, _improve, over switchable; they differ only in how
@@ -48,8 +50,6 @@ from .model import (
 )
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
-TWO = Fraction(2)
 HALF = Fraction(1, 2)
 
 
@@ -106,24 +106,35 @@ def _choices(game: Game, sigma: Strategy, tau: Strategy) -> dict[int, int]:
 
 
 def solve_linear_system(
-    rows: list[dict[int, Fraction]], rhs: list[Fraction]
+    rows: list[dict[int, Fraction | int]], rhs: list[Fraction | int]
 ) -> list[Fraction]:
-    """Solve A x = b exactly by sparse Gaussian elimination.
+    """Solve A x = b exactly by sparse fraction-free elimination.
 
-    rows[i] maps column j to A[i][j]; an absent column is a zero entry
-    and a zero entry is ignored.  A is square, of dimension len(rows).  Pivots follow a greedy Markowitz
-    order: at each step the column held by the fewest remaining rows
-    (smallest id on ties), pivoting on its shortest holding row
-    (smallest index on ties).  Entries that cancel are dropped, so a
-    chain of two-entry rows folds without fill.  A column -> holding
-    rows index keeps each step local to the pivot column, and a lazily
-    updated heap keyed by holder count picks the next column.  Back
-    substitution runs in reverse pivot order.  The inputs are not
-    modified.  Raises InternalInvariantError on a singular matrix.
+    rows[i] maps column j to A[i][j], an int or a Fraction; an absent
+    column is a zero entry and a zero entry is ignored.  A is square, of
+    dimension len(rows).  Each row is scaled once to integers, and
+    elimination runs on ints (as in Bareiss, Math. Comp. 22, 1968): a
+    row with entry r in the pivot column becomes (p/g) row - (r/g) pivot
+    row, g = gcd(p, r), and is then divided by the gcd of its entries
+    and right-hand side.
+    Pivots follow a greedy Markowitz order: at each step the column held
+    by the fewest remaining rows (smallest id on ties), pivoting on its
+    shortest holding row (smallest index on ties).  Entries that cancel
+    are dropped, so a chain of two-entry rows folds without fill.  A
+    column -> holding rows index keeps each step local to the pivot
+    column, and a lazily updated heap keyed by holder count picks the
+    next column.  Back substitution runs in reverse pivot order, over
+    one common denominator per row, and builds each unknown as one
+    Fraction.  The inputs are not modified.  Raises
+    InternalInvariantError on a singular matrix.
     """
     k = len(rows)
-    a = [{j: entry for j, entry in row.items() if entry} for row in rows]
-    b = list(rhs)
+    a: list[dict[int, int]] = []
+    b: list[int] = []
+    for row, r in zip(rows, rhs):
+        scale = math.lcm(r.denominator, *[e.denominator for e in row.values()])
+        a.append({j: e.numerator * (scale // e.denominator) for j, e in row.items() if e})
+        b.append(r.numerator * (scale // r.denominator))
     holders: list[set[int]] = [set() for _ in range(k)]
     for i, row in enumerate(a):
         for j in row:
@@ -144,24 +155,34 @@ def solve_linear_system(
         pb = b[piv]
         for i in holders[col] - {piv}:
             row = a[i]
-            factor = row.pop(col) / pval
+            lead = row.pop(col)
             holders[col].discard(i)
+            g = math.gcd(pval, lead)
+            keep, take = pval // g, lead // g
+            if keep != 1:
+                for j in row:
+                    row[j] *= keep
+            bi = b[i] * keep - take * pb
             for j, entry in prow.items():
                 if j == col:
                     continue
                 old = row.get(j)
                 if old is None:
-                    row[j] = -factor * entry
+                    row[j] = -take * entry
                     holders[j].add(i)
                 else:
-                    new = old - factor * entry
+                    new = old - take * entry
                     if new:
                         row[j] = new
                     else:
                         del row[j]
                         holders[j].discard(i)
-            if pb:
-                b[i] -= factor * pb
+            g = math.gcd(bi, *row.values())
+            if g > 1:
+                bi //= g
+                for j in row:
+                    row[j] //= g
+            b[i] = bi
         for j in prow:
             holders[j].discard(piv)
         eliminated[col] = True
@@ -174,11 +195,13 @@ def solve_linear_system(
         raise InternalInvariantError("linear solve lost a column from its queue")
     x = [ZERO] * k
     for piv, col in reversed(pivots):
-        acc = b[piv]
-        for j, entry in a[piv].items():
-            if j != col:
-                acc -= entry * x[j]
-        x[col] = acc / a[piv][col]
+        row = a[piv]
+        known = [(entry, x[j]) for j, entry in row.items() if j != col]
+        den = math.lcm(*[xj.denominator for _, xj in known])
+        num = b[piv] * den
+        for entry, xj in known:
+            num -= entry * xj.numerator * (den // xj.denominator)
+        x[col] = Fraction(num, row[col] * den)
     return x
 
 
@@ -187,28 +210,35 @@ def chain_values(game: Game, chosen: Mapping[int, int]) -> ValueVector:
     arc chosen[v]; chosen covers exactly the positional vertices.
 
     Sinks keep their value and vertices that cannot reach a positive
-    sink are worth 0; together they are the settled vertices.  A fork
-    is an AVE vertex with two distinct unsettled successors, and its
-    value is an unknown.  Every other vertex walks forward to the first
-    settled vertex or fork: a positional vertex, and an AVE vertex whose
-    two arcs coincide, passes the next value on unchanged, and an AVE
-    vertex with a settled successor s (an escape) is worth s/2 plus
-    half the next value.  Each value is thus c + gamma * (fork value),
-    the forks solve an exact linear system with one row per fork, and
-    a walk that closes a cycle without a fork is solved by
-    _cycle_forms.
+    sink are worth 0; together they are the settled vertices, and Q is
+    the lcm of their denominators.  A fork is an AVE vertex with two
+    distinct unsettled successors.  Every other vertex walks forward to
+    the first settled vertex or fork: a positional vertex, and an AVE
+    vertex whose two arcs coincide, passes the next value on unchanged,
+    and an AVE vertex with a settled successor s/Q (an escape) is worth
+    half of s/Q plus half the next value.  Each value is an integer form
+    (c, k, base), worth (c/Q + x_base) / 2^k, and an escape step is
+    c = (s << k) + c, k += 1.  A walk that closes a cycle without a fork
+    makes the repeated vertex an anchor a: round the cycle
+    x_a = (c/Q + x_a) / 2^k, so x_a = c / (Q (2^k - 1)).  The forks solve
+    one integer system in the unknowns Q x_f, with anchor terms on the
+    right-hand side, and each value is built as one Fraction at the end.
     """
     arcs = [(chosen[v],) if v in chosen else out for v, out in enumerate(game.succs)]
     positive = [v for v in game.sink_vertices if game.sink_value(v) > 0]
     reach = attractor(arcs, [1] * game.n, positive)
-    settled = [s if r is not None else ZERO for r, s in zip(reach, game.sink_values)]
-    # forms[v] = (c, gamma, f): value(v) = c + gamma * value(f); f is a
-    # fork, or None when gamma is 0
-    forms: list[tuple[Fraction, Fraction, int | None] | None] = [
-        None if s is None else (s, ZERO, None) for s in settled
+    q = math.lcm(*[game.sink_value(v).denominator for v in positive])
+    settled = [
+        0 if r is None else None if s is None else s.numerator * (q // s.denominator)
+        for r, s in zip(reach, game.sink_values)
+    ]
+    # forms[v] = (c, k, base): value(v) = (c/q + x_base) / 2^k, where
+    # base is a fork, an anchor or None (x_None = 0)
+    forms: list[tuple[int, int, int | None] | None] = [
+        None if s is None else (s, 0, None) for s in settled
     ]
     step = [0] * game.n
-    escape: dict[int, Fraction] = {}
+    escape: dict[int, int] = {}
     forks: list[int] = []
     for v, kind in enumerate(game.kinds):
         if forms[v] is not None:
@@ -223,97 +253,65 @@ def chain_values(game: Game, chosen: Mapping[int, int]) -> ValueVector:
             step[v] = a
         elif settled[b] is None:
             forks.append(v)
-            forms[v] = (ZERO, ONE, v)
+            forms[v] = (0, 0, v)
         else:
             step[v] = a
             escape[v] = settled[b]
 
+    # bases[b] = (n, d): x_b = n / (q d); forks get theirs from the solve
+    bases = dict.fromkeys([None, *forks], (0, 1))
     for start in range(game.n):
         if forms[start] is not None:
             continue
-        trail: list[int] = []
-        at: dict[int, int] = {}
+        trail: dict[int, None] = {}  # the walk, in order
         cur = start
-        while forms[cur] is None:
-            if cur in at:
-                _cycle_forms(trail[at[cur]:], escape, forms)
-                del trail[at[cur]:]
-                break
-            at[cur] = len(trail)
-            trail.append(cur)
+        while forms[cur] is None and cur not in trail:
+            trail[cur] = None
             cur = step[cur]
-        base = forms[cur]
+        anchor = cur if cur in trail else None
+        base = forms[cur] if anchor is None else (0, 0, cur)
         for v in reversed(trail):
             s = escape.get(v)
             if s is not None:
-                c, gamma, f = base
-                base = (HALF * (s + c), HALF * gamma, f)
+                c, k, f = base
+                base = ((s << k) + c, k + 1, f)
+            if v == anchor:
+                c, k, _ = base
+                if not k:
+                    raise InternalInvariantError("escape-free cycle classified as escaping")
+                bases[v] = (c, (1 << k) - 1)
+                base = (0, 0, v)
             forms[v] = base
 
-    if not forks:
-        return tuple([c for c, _, _ in forms])
-    index = {f: i for i, f in enumerate(forks)}
-    rows: list[dict[int, Fraction]] = []
-    rhs: list[Fraction] = []
-    # row of fork f, doubled: 2 value(f) - form(t1) - form(t2) = 0, with
-    # at most three entries; solve_linear_system drops any that cancel
-    for f in forks:
-        row = {index[f]: TWO}
-        b = ZERO
-        for t in game.succs[f]:
-            c, gamma, g = forms[t]
-            if c:
-                b += c
-            if gamma:
-                j = index[g]
-                row[j] = row.get(j, ZERO) - gamma
-        rows.append(row)
-        rhs.append(b)
-    x = solve_linear_system(rows, rhs)
-    return tuple([c + gamma * x[index[f]] if gamma else c for c, gamma, f in forms])
-
-
-def _cycle_forms(
-    cycle: list[int],
-    escape: dict[int, Fraction],
-    forms: list[tuple[Fraction, Fraction, int | None] | None],
-) -> None:
-    """Exact values along a walk that closes a cycle without a fork.
-
-    The cycle is given in walk order.  Its vertices reach a positive
-    sink and only escapes leave it, so it holds at least one escape.
-    Starting from its smallest-id escape, with s_1..s_l the escape
-    values in walk order, that vertex is worth
-    2^l/(2^l - 1) * sum over i of 2^(-i) * s_i, and the rest unroll
-    from there.  Values share one denominator D = (2^l - 1) * q, so the
-    whole pass is integer arithmetic; consecutive escape-free vertices
-    share the same form.
-    """
-    starts = [v for v in cycle if v in escape]
-    if not starts:
-        raise InternalInvariantError("escape-free cycle classified as escaping")
-    at = cycle.index(min(starts))
-    cycle = cycle[at:] + cycle[:at]
-
-    escapes = [escape[v] for v in cycle if v in escape]
-    q = math.lcm(*[s.denominator for s in escapes])
-    full = (1 << len(escapes)) - 1
-    denom = full * q
-    m = 0
-    for s in escapes:
-        m = 2 * m + s.numerator * (q // s.denominator)
-
-    first_m = m
-    form = (Fraction(m, denom), ZERO, None)
-    for i, v in enumerate(cycle):
-        forms[v] = form
-        s = escape.get(v)
-        if s is not None:
-            m = 2 * m - s.numerator * (q // s.denominator) * full
-            if i + 1 < len(cycle):
-                form = (Fraction(m, denom), ZERO, None)
-    if m != first_m:
-        raise InternalInvariantError("cycle value recurrence did not close")
+    if forks:
+        index = {f: i for i, f in enumerate(forks)}
+        rows: list[dict[int, int]] = []
+        rhs: list[int] = []
+        # row of fork f: 2 Q x_f - Q form(t1) - Q form(t2) = 0, times
+        # d 2^top so that it is integer; at most three entries, and
+        # solve_linear_system drops any that cancel
+        for f in forks:
+            terms = [forms[t] for t in game.succs[f]]
+            top = max(k for _, k, _ in terms)
+            d = math.lcm(*[bases[g][1] for _, _, g in terms])
+            row = {index[f]: d << (top + 1)}
+            b = 0
+            for c, k, g in terms:
+                n, dg = bases[g]
+                b += ((c * dg + n) * (d // dg)) << (top - k)
+                if g in index:
+                    j = index[g]
+                    row[j] = row.get(j, 0) - (d << (top - k))
+            rows.append(row)
+            rhs.append(b)
+        x = solve_linear_system(rows, rhs)
+        bases.update((f, (xf.numerator, xf.denominator)) for f, xf in zip(forks, x))
+    values: dict[tuple[int, int, int | None], Fraction] = {}
+    for form in set(forms):
+        c, k, g = form
+        n, d = bases[g]
+        values[form] = Fraction(c * d + n, (q * d) << k)
+    return tuple([values[form] for form in forms])
 
 
 def evaluate(game: Game, sigma: Strategy, tau: Strategy) -> ValueVector:

@@ -172,8 +172,9 @@ def closed_values(game: Game, report: StructureReport) -> ValueVector:
     is a Markov chain that only leaves through the coin flips of AVE
     vertices, and evaluation.chain_values gives its exact values:
     vertices that cannot reach a positive sink are worth 0, a plain
-    cycle is solved in closed form, and forking AVE vertices solve an
-    exact linear system with one row per fork.
+    cycle is solved in closed form at its anchor, x = c / (Q (2^k - 1))
+    over the k escapes met going round it, and forking AVE vertices
+    solve an integer linear system with one row per fork.
     """
     if report.k_p:
         raise PreconditionError("positional fork vertices present")

@@ -1,5 +1,6 @@
 """Exact play evaluation under fixed strategy pairs, and local optimality."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -240,6 +241,7 @@ def _outcome(solve, *args):
 
 def test_solve_linear_system_matches_a_dense_eliminator_on_random_sparse_systems():
     rng = random.Random(8)
+    factors = random.Random(9)
     seen = {"solved": 0, "singular": 0}
     for trial in range(300):
         case = trial % 6
@@ -251,6 +253,21 @@ def test_solve_linear_system_matches_a_dense_eliminator_on_random_sparse_systems
         found = _outcome(solve_linear_system, rows, rhs)
         assert found == expected, (case, rows, rhs)
         assert (rows, rhs) == before
+        # the same system as int rows, the shape chain_values hands over;
+        # each row scaled to integers and then by a factor of 1 to 6
+        int_rows, int_rhs = [], []
+        for row, r in zip(rows, rhs):
+            scale = math.lcm(r.denominator, *[e.denominator for e in row.values()])
+            scale *= factors.randint(1, 6)
+            int_rows.append({j: int(e * scale) for j, e in row.items()})
+            int_rhs.append(int(r * scale))
+        int_matrix = [[Fraction(row.get(j, 0)) for j in range(k)] for row in int_rows]
+        int_before = [dict(row) for row in int_rows], list(int_rhs)
+        int_found = _outcome(solve_linear_system, int_rows, int_rhs)
+        assert int_found == _outcome(dense_solve, int_matrix, [Fraction(r) for r in int_rhs])
+        assert int_found == expected, (case, int_rows, int_rhs)
+        assert isinstance(int_found, str) or all(type(v) is Fraction for v in int_found)
+        assert (int_rows, int_rhs) == int_before
         if case in (4, 5) and k > 1:
             assert found == "singular linear system"
         seen["singular" if isinstance(found, str) else "solved"] += 1
