@@ -116,16 +116,15 @@ def solve_linear_system(
     elimination runs on ints (as in Bareiss, Math. Comp. 22, 1968): a
     row with entry r in the pivot column becomes (p/g) row - (r/g) pivot
     row, g = gcd(p, r), and is then divided by the gcd of its entries
-    and right-hand side.
-    Pivots follow a greedy Markowitz order: at each step the column held
-    by the fewest remaining rows (smallest id on ties), pivoting on its
-    shortest holding row (smallest index on ties).  Entries that cancel
-    are dropped, so a chain of two-entry rows folds without fill.  A
-    column -> holding rows index keeps each step local to the pivot
-    column, and a lazily updated heap keyed by holder count picks the
-    next column.  Back substitution runs in reverse pivot order, over
-    one common denominator per row, and builds each unknown as one
-    Fraction.  The inputs are not modified.  Raises
+    and right-hand side.  Pivots follow a greedy Markowitz order: at
+    each step the column held by the fewest remaining rows (smallest id
+    on ties), pivoting on its shortest holding row (smallest index on
+    ties).  Entries that cancel are dropped, so a chain of two-entry
+    rows folds without fill.  A column -> holding rows index keeps each
+    step local to the pivot column, and a lazily updated heap keyed by
+    holder count picks the next column.  Back substitution runs in
+    reverse pivot order, over one common denominator per row, and builds
+    each unknown as one Fraction.  The inputs are not modified.  Raises
     InternalInvariantError on a singular matrix.
     """
     k = len(rows)
