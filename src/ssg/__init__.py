@@ -33,6 +33,7 @@ from .evaluation import (
     evaluate,
     greedy_strategies,
     one_step_value,
+    switchable,
 )
 from .gamefile import parse, serialize
 from .generate import Family, GeneratorSpec, generate
@@ -40,7 +41,6 @@ from .iteration import (
     HKTrace,
     all_open_strategy,
     hoffman_karp,
-    switchable,
 )
 from .model import (
     Game,

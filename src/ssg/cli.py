@@ -15,14 +15,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .dichotomy import dichotomy_solve, make_stopping, solve_feedback
+from .dichotomy import make_stopping, solve_feedback
 from .errors import (
     GameError,
     InternalInvariantError,
     NotStoppingError,
     PreconditionError,
 )
-from .evaluation import greedy_strategies, require_stopping
+from .evaluation import greedy_strategies, require_local_optimality, require_stopping
 from .gamefile import parse, serialize
 from .generate import DEFAULT_PROPORTIONS, Family, GeneratorSpec, generate
 from .iteration import hoffman_karp
@@ -83,19 +83,13 @@ def _hk(game: Game):
     return trace.values, trace.iterations, None
 
 
-def _dichotomy(game: Game):
-    cover = feedback_vertex_set(game, 1)
-    if cover is None:
-        raise PreconditionError("dichotomy needs a single vertex covering every cycle")
-    counter = _Counting(solve_acyclic)
-    values = dichotomy_solve(game, cover[0], counter) if cover else counter(game)
-    return values, None, counter.calls
-
-
-def _feedback(game: Game):
+def _bisection(game: Game, k_max: int | None):
     require_stopping(game)  # refuse before the exponential set search
+    cover = feedback_vertex_set(game, k_max)
+    if cover is None:
+        raise PreconditionError(f"no set of at most {k_max} vertices covers every cycle")
     counter = _Counting(solve_acyclic)
-    values = solve_feedback(game, feedback_vertex_set(game), counter)
+    values = solve_feedback(game, cover, counter)
     return values, None, counter.calls
 
 
@@ -107,8 +101,8 @@ SOLVERS = {
     "almost_acyclic": lambda game: (solve_by_scc(game, solve_almost_acyclic_scc), None, None),
     "max_acyclic": lambda game: (solve_by_scc(game, solve_max_acyclic_scc), None, None),
     "fork_fpt": lambda game: (solve_fork_fpt(game), None, None),
-    "dichotomy": _dichotomy,
-    "feedback": _feedback,
+    "dichotomy": lambda game: _bisection(game, 1),
+    "feedback": lambda game: _bisection(game, None),
     "hk": _hk,
     "oracle": lambda game: (oracle_solve(game).values, None, None),
 }
@@ -160,6 +154,7 @@ def solve_command(args: argparse.Namespace) -> int:
     for v, value in enumerate(report.values[: original.n]):
         print(f"  {v} = {_rational(value)}")
     if args.strategies:
+        require_local_optimality(game, report.values)
         pair = greedy_strategies(game, report.values)
         print("strategies:")
         for label, strategy in (("max", pair.sigma), ("min", pair.tau)):

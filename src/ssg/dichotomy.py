@@ -8,7 +8,9 @@ the fixed point, and stops as soon as the simplest rational in it is
 the only one with denominator within the game's precision bound; a
 Stern-Brocot walk names that rational and one more solve verifies it.
 Iterating the trick over a whole feedback vertex set solves any
-stopping game whose cycles are covered by a few vertices.  Each inner
+stopping game whose cycles are covered by a few vertices; the set must
+cover every cycle.  solve_feedback is the one entry: dichotomy_solve,
+bisection on a single vertex, calls it with a one-vertex set.  Each inner
 level starts from the bracket its enclosing level's solves give it,
 since raising a sink never lowers a value, and no level tries more
 values than plain bisection from [0, 1] would.
@@ -21,7 +23,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import InternalInvariantError, PreconditionError
-from .evaluation import check_local_optimality, one_step_value, require_stopping
+from .evaluation import one_step_value, require_local_optimality, require_stopping
 from .model import Game, RationalLike, ValueVector, VertexKind, as_fraction, vertex_to_sink
 from .solvers import solve_acyclic
 from .structure import is_feedback_set
@@ -65,18 +67,17 @@ def dichotomy_solve(
 ) -> ValueVector:
     """Solve a stopping game by bisecting on the value of one vertex.
 
-    x should cover every cycle, so that the default DAG subsolver can
-    handle the rest; any exact solver for the frozen games works.  The
-    search interval halves until it holds a single rational of
-    denominator at most bound: at the latest when it is no wider than
-    1/bound^2, and already once its simplest rational c leaves it
-    narrower than 1/(den(c) * bound).  That candidate is verified to be
-    a fixed point before the values are returned, so the subsolver runs
-    at most (bound^2 - 1).bit_length() + 1 times.
+    One call to solve_feedback, the one entry into bisection, with the
+    set [x]: x must cover every cycle, and a pivot that leaves one is
+    refused before any subsolve.  The search interval halves until it
+    holds a single rational of denominator at most bound: at the latest
+    when it is no wider than 1/bound^2, and already once its simplest
+    rational c leaves it narrower than 1/(den(c) * bound).  That
+    candidate is verified to be a fixed point before the values are
+    returned, so the subsolver runs at most
+    (bound^2 - 1).bit_length() + 1 times.
     """
-    _require_playable(game, [x])
-    require_stopping(game)
-    return _certified(game, _dichotomy_core(game, [x], subsolver))
+    return solve_feedback(game, [x], subsolver)
 
 
 def _dichotomy_core(
@@ -169,23 +170,6 @@ def _dichotomy_core(
     return values
 
 
-def _require_playable(game: Game, xs: Sequence[int]) -> None:
-    for x in xs:
-        if not (0 <= x < game.n) or game.is_sink(x):
-            raise PreconditionError(f"vertex {x} is not a playable vertex")
-
-
-def _certified(game: Game, values: ValueVector) -> ValueVector:
-    values = tuple(values)
-    outcome = check_local_optimality(game, values)
-    if not outcome.satisfied:
-        raise InternalInvariantError(
-            "bisection result violates local optimality at "
-            f"{[bad.vertex for bad in outcome.violations]}"
-        )
-    return values
-
-
 def stern_brocot(lo: RationalLike, hi: RationalLike, max_denominator: int) -> Fraction:
     """The simplest rational in [lo, hi], walking the Stern-Brocot tree.
 
@@ -228,7 +212,9 @@ def solve_feedback(
 ) -> ValueVector:
     """Solve a stopping game given a feedback vertex set.
 
-    Feedback vertices are frozen one at a time in increasing id order;
+    The one entry into bisection.  The set must cover every cycle, so
+    that subsolver only ever sees games with none left.  Feedback
+    vertices are frozen one at a time in increasing id order;
     each level bisects on its vertex with the next level as subsolver,
     bottoming out in subsolver (the DAG solver by default, replaceable
     for instrumentation).  An inner level is warm-started: its vertex's
@@ -236,16 +222,19 @@ def solve_feedback(
     the ends of that level's bracket, so the inner bisection skips
     every trial outside those two values and, when the bracket already
     decides the trial 1/2, tries their midpoint in its place.  Only the
-    final answer is certified: values locally optimal in the game are
-    so in every frozen game too.  Refuses sets that leave a cycle
-    uncovered and games that are not stopping.
+    final answer is certified (evaluation.require_local_optimality):
+    on a stopping game local optimality pins the values.  Refuses,
+    before any subsolve, vertices that are not playable, sets that
+    leave a cycle uncovered and games that are not stopping.
     """
     xs = sorted(set(feedback))
-    _require_playable(game, xs)
+    for x in xs:
+        if not (0 <= x < game.n) or game.is_sink(x):
+            raise PreconditionError(f"vertex {x} is not a playable vertex")
     if not is_feedback_set(game, xs):
         raise PreconditionError("a cycle avoids the proposed feedback set")
     require_stopping(game)
-    return _certified(game, _dichotomy_core(game, xs, subsolver))
+    return require_local_optimality(game, _dichotomy_core(game, xs, subsolver))
 
 
 def make_stopping(game: Game, m: int | None = None) -> Game:

@@ -565,3 +565,20 @@ def require_stopping(game: Game) -> None:
             "game is not stopping; play can be confined to "
             f"{sorted(report.witness)}"
         )
+
+
+def require_local_optimality(game: Game, w: ValueVector) -> ValueVector:
+    """Certify a solver's answer: w as a tuple, if locally optimal.
+
+    On a stopping game the local optimality equations pin down the
+    value vector, so passing them certifies the values.  A violation
+    is a solver bug: raises InternalInvariantError naming the vertices.
+    """
+    w = tuple(w)
+    outcome = check_local_optimality(game, w)
+    if not outcome.satisfied:
+        raise InternalInvariantError(
+            "values violate local optimality at "
+            f"{[bad.vertex for bad in outcome.violations]}"
+        )
+    return w

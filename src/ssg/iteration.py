@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import evaluation
-from .evaluation import _improve, best_response_min, switchable  # noqa: F401 (re-export)
+from .evaluation import _improve, best_response_min
 from .model import Game, Player, Strategy, StrategyPair, ValueVector, VertexKind, argbest
 from .oracle import strategy_count
 

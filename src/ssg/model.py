@@ -122,10 +122,6 @@ class Game:
     def sink_vertices(self) -> tuple[int, ...]:
         return self.vertices_of(VertexKind.SINK)
 
-    @property
-    def positional_vertices(self) -> tuple[int, ...]:
-        return tuple(sorted(self.max_vertices + self.min_vertices))
-
     def owned_vertices(self, owner: Player) -> tuple[int, ...]:
         return self.max_vertices if owner is Player.MAX else self.min_vertices
 
@@ -174,9 +170,6 @@ class Strategy:
 
     def __getitem__(self, vertex: int) -> int:
         return self.choice[vertex]
-
-    def get(self, vertex: int) -> int | None:
-        return self.choice.get(vertex)
 
     def __contains__(self, vertex: int) -> bool:
         return vertex in self.choice

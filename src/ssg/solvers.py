@@ -22,6 +22,7 @@ from .evaluation import (
     check_local_optimality,
     check_stopping,
     one_step_value,
+    require_local_optimality,
     require_stopping,
 )
 from .iteration import hoffman_karp
@@ -74,14 +75,7 @@ def solve_by_scc(game: Game, component_solver) -> ValueVector:
                 values[u] = sub_values[u]
         for u in comp:
             solved[u] = values[u]
-    vector = tuple(values)
-    outcome = check_local_optimality(game, vector)
-    if not outcome.satisfied:
-        raise InternalInvariantError(
-            "assembled values violate local optimality at "
-            f"{[bad.vertex for bad in outcome.violations]}"
-        )
-    return vector
+    return require_local_optimality(game, values)
 
 
 def _require_one_cycle_component(game: Game, report: StructureReport) -> None:

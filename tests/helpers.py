@@ -66,7 +66,7 @@ def all_pairs(game: Game):
 def closed_profile(game: Game, report) -> tuple[Strategy, Strategy]:
     """Every positional vertex takes its smallest-id cycle arc."""
     max_choice, min_choice = {}, {}
-    for v in game.positional_vertices:
+    for v in sorted(game.max_vertices + game.min_vertices):
         in_cycle = sorted(s for s in game.succs[v] if (v, s) in report.cycle_arcs)
         choice = in_cycle[0] if in_cycle else min(game.succs[v])
         if game.kinds[v] is VertexKind.MAX:

@@ -10,7 +10,7 @@ import pytest
 from helpers import game_stream
 from ssg import cli
 from ssg.cli import choose_algorithm, main, run_algorithm
-from ssg.errors import InternalInvariantError
+from ssg.errors import InternalInvariantError, NotStoppingError
 from ssg.gamefile import parse, serialize
 from ssg.generate import Family, GeneratorSpec, generate
 from ssg.iteration import hoffman_karp
@@ -93,6 +93,25 @@ def stopping_choice_game():
     ])
 
 
+def test_dichotomy_refuses_a_non_stopping_game_before_its_set_search(monkeypatch):
+    # two disjoint positional cycles: no one-vertex cover, and MAX and
+    # MIN can keep the play circling
+    def no_search(*args):
+        raise AssertionError("feedback set searched for a game about to be refused")
+
+    monkeypatch.setattr(cli, "feedback_vertex_set", no_search)
+    g = game_of([
+        ("max", 1, 4),
+        ("min", 0, 5),
+        ("max", 3, 4),
+        ("min", 2, 5),
+        ("sink", 1),
+        ("sink", 0),
+    ])
+    with pytest.raises(NotStoppingError):
+        run_algorithm(g, "dichotomy")
+
+
 def test_run_algorithm_reports_hk_iterations():
     report = run_algorithm(stopping_choice_game(), "hk")
     assert report.iterations is not None and report.iterations >= 0
@@ -122,6 +141,21 @@ def test_solve_explicit_algorithm_and_strategies(tmp_path, capsys):
     assert "  2 = 3/4" in out
     assert "max 0 -> 3" in out
     assert "min 1 -> 4" in out
+
+
+def test_solve_strategies_treat_a_wrong_answer_as_an_internal_error(
+    tmp_path, capsys, monkeypatch
+):
+    # the right values are 1/2, 1/4, 3/4; 1/3 at vertex 0 breaks its
+    # own equation and AVE vertex 2's
+    def wrong(game):
+        return (Fraction(1, 3), Fraction(1, 4), Fraction(3, 4), *game.sink_values[3:]), 0, None
+
+    monkeypatch.setitem(cli.SOLVERS, "hk", wrong)
+    path = write_game(tmp_path, stopping_choice_game())
+    assert main(["solve", path, "--algorithm", "hk", "--strategies"]) == 3
+    err = capsys.readouterr().err
+    assert "internal invariant violated" in err and "[0, 2]" in err
 
 
 def test_solve_strategies_leave_a_tied_self_loop_on_non_stopping_games(tmp_path, capsys):

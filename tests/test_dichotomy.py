@@ -17,7 +17,7 @@ from ssg.dichotomy import (
     stern_brocot,
     value_denominator_bound,
 )
-from ssg.errors import NotStoppingError, PreconditionError
+from ssg.errors import InternalInvariantError, NotStoppingError, PreconditionError
 from ssg.evaluation import check_stopping
 from ssg.generate import Family, GeneratorSpec, generate
 from ssg.iteration import hoffman_karp
@@ -116,7 +116,7 @@ def test_dichotomy_requires_stopping():
 
 def test_dichotomy_propagates_unbroken_cycles():
     # stopping, but freezing vertex 0 leaves the 2-3 cycle intact, so the
-    # acyclic subsolver refuses
+    # cover check refuses before any subsolve
     g = game_of([
         ("ave", 1, 4),
         ("ave", 0, 4),
@@ -125,8 +125,37 @@ def test_dichotomy_propagates_unbroken_cycles():
         ("sink", F(1, 2)),
     ])
     assert check_stopping(g).stopping
-    with pytest.raises(PreconditionError):
-        dichotomy_solve(g, 0)
+    counter = CountingSolver()
+    with pytest.raises(PreconditionError, match="a cycle avoids"):
+        dichotomy_solve(g, 0, counter)
+    assert counter.calls == 0
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [dichotomy_solve, lambda g, x, sub: solve_feedback(g, [x], sub)],
+    ids=["dichotomy_solve", "solve_feedback"],
+)
+def test_bisection_certifies_its_answer(solve):
+    # coin_pair plus vertex 4, which x = 0 never reads: a subsolver
+    # exact at 0's successors but wrong at 4 still pins 0's value, and
+    # only the final certificate sees the wrong 4
+    g = game_of([
+        ("ave", 1, 2),
+        ("ave", 3, 0),
+        ("sink", 1),
+        ("sink", 0),
+        ("ave", 2, 3),
+    ])
+
+    def wrong_at_4(game):
+        values = list(solve_acyclic(game))
+        values[4] = F(0)
+        return tuple(values)
+
+    with pytest.raises(InternalInvariantError, match=r"local optimality at \[4\]"):
+        solve(g, 0, wrong_at_4)
+    assert solve(g, 0, solve_acyclic)[:2] == (F(2, 3), F(1, 3))
 
 
 def test_dichotomy_matches_oracle_within_call_budget():

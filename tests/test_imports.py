@@ -1,0 +1,54 @@
+"""Every name a package module imports is used in that module.
+
+No linter ships with the package, so this stands in for an
+unused-import check.  A name counts as used wherever the module reads
+it, annotations included.  ssg/__init__.py is skipped: it imports to
+re-export.
+"""
+
+import ast
+from pathlib import Path
+
+import ssg
+
+PACKAGE = Path(ssg.__file__).parent
+
+
+def imported_names(tree: ast.Module):
+    """(line, name) for each name an import statement binds."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name
+
+
+def unused_imports(source: str) -> list[tuple[int, str]]:
+    tree = ast.parse(source)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(line, name) for line, name in imported_names(tree) if name not in used]
+
+
+def test_the_check_sees_uses_and_misses():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from typing import Callable, Sequence\n"
+        "from .model import Game as G, Strategy\n"
+        "def f(x: Sequence[int]) -> G:\n"
+        "    return os.path.join(x)\n"
+    )
+    assert unused_imports(source) == [(3, "Callable"), (4, "Strategy")]
+
+
+def test_package_modules_use_every_import():
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    assert len(modules) >= 10
+    unused = [
+        f"{path.name}:{line} {name}"
+        for path in modules
+        for line, name in unused_imports(path.read_text(encoding="utf-8"))
+    ]
+    assert unused == []

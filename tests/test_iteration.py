@@ -8,9 +8,9 @@ import pytest
 from helpers import game_stream
 from ssg import evaluation, iteration
 from ssg.errors import InternalInvariantError, NotStoppingError
-from ssg.evaluation import best_response_max, best_response_min
+from ssg.evaluation import best_response_max, best_response_min, switchable
 from ssg.generate import Family
-from ssg.iteration import HKTrace, all_open_strategy, hoffman_karp, switchable
+from ssg.iteration import HKTrace, all_open_strategy, hoffman_karp
 from ssg.model import Player, Strategy, game_of, merge_sink_neighbors
 from ssg.oracle import oracle_solve
 
