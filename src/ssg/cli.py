@@ -87,7 +87,7 @@ def _bisection(game: Game, k_max: int | None):
     require_stopping(game)  # refuse before the exponential set search
     cover = feedback_vertex_set(game, k_max)
     if cover is None:
-        raise PreconditionError(f"no set of at most {k_max} vertices covers every cycle")
+        raise PreconditionError(f"no feedback vertex set of size <= {k_max}")
     counter = _Counting(solve_acyclic)
     values = solve_feedback(game, cover, counter)
     return values, None, counter.calls
