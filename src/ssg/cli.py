@@ -216,48 +216,49 @@ def generate_command(args: argparse.Namespace) -> int:
 
 
 def bench_command(args: argparse.Namespace) -> int:
-    header = (
+    # every game is built before the header, so a size the family cannot
+    # build is an input error with no rows printed
+    specs = [
+        GeneratorSpec(
+            n=size,
+            family=Family(args.family),
+            seed=args.seed + instance,
+            proportions=args.proportions,
+            k=args.k,
+        )
+        for instance, size in enumerate(s for s in args.sizes for _ in range(args.reps))
+    ]
+    games = [generate(spec) for spec in specs]
+    print(
         f"{'solver':>15} {'n':>8} {'n_max':>6} {'n_ave':>6} "
         f"{'iters':>7} {'calls':>7} {'time_s':>10} {'status':>8}"
     )
-    print(header)
     errors = 0
-    instance = 0
-    for size in args.sizes:
-        for rep in range(args.reps):
-            spec = GeneratorSpec(
-                n=size,
-                family=Family(args.family),
-                seed=args.seed + instance,
-                proportions=args.proportions,
-                k=args.k,
+    for spec, game in zip(specs, games):
+        for solver in args.solvers:
+            try:
+                run = run_algorithm(game, solver)
+                status = "ok"
+                iters = "" if run.iterations is None else run.iterations
+                calls = "" if run.subsolver_calls is None else run.subsolver_calls
+                secs = f"{run.seconds:.4f}"
+            except PreconditionError:
+                status, iters, calls, secs = "refused", "", "", ""
+            except InternalInvariantError as exc:
+                print(f"internal invariant violated: {exc}", file=sys.stderr)
+                status, iters, calls, secs = "error", "", "", ""
+                errors += 1
+            print(
+                f"{solver:>15} {spec.n:>8} {game.n_max:>6} {game.n_ave:>6} "
+                f"{iters!s:>7} {calls!s:>7} {secs:>10} {status:>8}"
             )
-            game = generate(spec)
-            for solver in args.solvers:
-                try:
-                    run = run_algorithm(game, solver)
-                    status = "ok"
-                    iters = "" if run.iterations is None else run.iterations
-                    calls = "" if run.subsolver_calls is None else run.subsolver_calls
-                    secs = f"{run.seconds:.4f}"
-                except PreconditionError:
-                    status, iters, calls, secs = "refused", "", "", ""
-                except InternalInvariantError as exc:
-                    print(f"internal invariant violated: {exc}", file=sys.stderr)
-                    status, iters, calls, secs = "error", "", "", ""
-                    errors += 1
-                print(
-                    f"{solver:>15} {size:>8} {game.n_max:>6} {game.n_ave:>6} "
-                    f"{iters!s:>7} {calls!s:>7} {secs:>10} {status:>8}"
-                )
-                print(
-                    f"#row solver={solver} n={size} n_max={game.n_max} "
-                    f"n_ave={game.n_ave} seed={spec.seed} "
-                    f"iterations={iters} subsolver_calls={calls} "
-                    f"time_s={secs} status={status}",
-                    flush=True,
-                )
-            instance += 1
+            print(
+                f"#row solver={solver} n={spec.n} n_max={game.n_max} "
+                f"n_ave={game.n_ave} seed={spec.seed} "
+                f"iterations={iters} subsolver_calls={calls} "
+                f"time_s={secs} status={status}",
+                flush=True,
+            )
     return 3 if errors else 0
 
 
@@ -392,7 +393,7 @@ def main(argv: list[str] | None = None) -> int:
     except PreconditionError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
-    except (GameError, OSError) as exc:
+    except (GameError, OSError, UnicodeDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
 

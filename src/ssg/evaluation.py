@@ -76,6 +76,13 @@ def attractor(
     the set, and with every arc needed one above its highest.  Returns
     each vertex's round, None outside the set; test membership with
     `is not None`, since round 0 is falsy.
+
+    It is the package's one backward fixpoint: the zero region of
+    chain_values and _min_zero_region, the stopping witness of
+    check_stopping, the exit ranks of greedy strategies, the fork
+    opener's search, the DAG order of solvers.solve_acyclic (every arc
+    needed, so rounds order each vertex after its successors) and the
+    cover check of structure.is_feedback_set.
     """
     n = len(arcs)
     preds: list[list[int]] = [[] for _ in range(n)]

@@ -5,9 +5,10 @@ describes one vertex: "<id> max|min <succ> <succ> ...",
 "<id> ave <succ> <succ>", or "<id> sink <num>/<den>".  A "#" starts a
 comment.  Ids must be dense starting at 0 but may appear in any order.
 Ids, successors and sink values are written in the ASCII digits 0-9
-only, so that every accepted number serializes back to the same text.
-Serialization writes reduced fractions and ascending ids, and
-parse(serialize(game)) reproduces the game bit-exactly.
+only, and each accepted value parses exactly.  Serialization writes
+reduced fractions and ascending ids, so text may not come back as
+written ("01/2" as "1/2", "0" as "0/1"), but parse(serialize(game))
+reproduces the game bit-exactly.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ from .evaluation import (
 )
 from .iteration import hoffman_karp
 from .model import Game, ValueVector, VertexKind, argbest, merge_sink_neighbors
-from .structure import StructureReport, component_game, topological_order
+from .structure import StructureReport, component_game
 
 ZERO = Fraction(0)
 
@@ -35,17 +35,16 @@ ZERO = Fraction(0)
 def solve_acyclic(game: Game) -> ValueVector:
     """Optimal values of a DAG game in one backward pass.
 
-    Every vertex takes its one-step value over already-solved
-    successors.  Refuses games with a sink-free cycle.
+    The attractor of the sinks in which every arc is needed ranks each
+    vertex one round above its highest successor, so in round order
+    every vertex takes its one-step value over solved successors, sinks
+    first.  Refuses games with a sink-free cycle.
     """
-    nonsinks = (v for v in range(game.n) if not game.is_sink(v))
-    order = topological_order(nonsinks, game.succs)
-    if order is None:
+    rounds = attractor(game.succs, [len(out) for out in game.succs], game.sink_vertices)
+    if None in rounds:
         raise PreconditionError("game has a sink-free cycle")
     values: list[Fraction] = [ZERO] * game.n
-    for v in game.sink_vertices:
-        values[v] = game.sink_value(v)
-    for v in reversed(order):
+    for v in sorted(range(game.n), key=rounds.__getitem__):
         values[v] = one_step_value(game, values, v)
     return tuple(values)
 

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import InternalInvariantError, PreconditionError
+from .evaluation import attractor
 from .model import Game, VertexKind, as_fraction
 
 ZERO = Fraction(0)
@@ -229,36 +230,15 @@ def component_game(
     return sub, ids
 
 
-def topological_order(vertices: Iterable[int], succs) -> list[int] | None:
-    """Kahn's algorithm on the subgraph the given vertices induce.
-
-    succs[v] lists the successors of v; those outside the subgraph are
-    ignored.  Returns the vertices ordered so that every arc points
-    forward, or None when the subgraph has a cycle.
-    """
-    indeg = dict.fromkeys(vertices, 0)
-    for v in indeg:
-        for s in succs[v]:
-            if s in indeg:
-                indeg[s] += 1
-    queue = [v for v, d in indeg.items() if d == 0]
-    order = []
-    while queue:
-        v = queue.pop()
-        order.append(v)
-        for s in succs[v]:
-            if s in indeg:
-                indeg[s] -= 1
-                if indeg[s] == 0:
-                    queue.append(s)
-    return order if len(order) == len(indeg) else None
-
-
 def is_feedback_set(game: Game, vertices) -> bool:
-    """Whether deleting the given vertices breaks every sink-free cycle."""
-    removed = set(vertices)
-    keep = (v for v in range(game.n) if not game.is_sink(v) and v not in removed)
-    return topological_order(keep, game.succs) is not None
+    """Whether deleting the given vertices breaks every sink-free cycle.
+
+    Seeded with the sinks and the given vertices, the attractor in
+    which every arc is needed takes in every vertex exactly when no
+    cycle is left; ids outside 0..n-1 are ignored.
+    """
+    seeds = set(game.sink_vertices).union(v for v in vertices if 0 <= v < game.n)
+    return None not in attractor(game.succs, [len(out) for out in game.succs], seeds)
 
 
 def feedback_vertex_set(game: Game, k_max: int | None = None) -> tuple[int, ...] | None:
@@ -305,6 +285,10 @@ def _trim(succ, pred, live) -> tuple[set[int], dict[int, int], dict[int, int]]:
     """The vertices of live left after repeatedly dropping those with no
     live predecessor or no live successor, with the in- and out-degrees
     of the survivors inside that set.  Dropped vertices lie on no cycle.
+    This peel stays apart from evaluation.attractor because the search
+    trims shrinking subsets of one component in O(live) per node, where
+    attractor walks arrays the size of the whole game, and _chains
+    needs the degrees it leaves.
     """
     indeg = dict.fromkeys(live, 0)
     outdeg = {}

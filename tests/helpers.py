@@ -11,7 +11,7 @@ from ssg.errors import InternalInvariantError
 from ssg.evaluation import check_stopping, one_step_value
 from ssg.generate import DEFAULT_PROPORTIONS, Family, GeneratorSpec, generate
 from ssg.model import Game, Player, Strategy, VertexKind, vertex_to_sink
-from ssg.structure import topological_order
+from ssg.structure import is_feedback_set
 
 
 def game_stream(
@@ -227,13 +227,10 @@ def brute_feedback_vertex_set(game: Game, k_max: int | None = None):
     n^k_max, so the tests keep n and k_max small.
     """
     vertices = [v for v in range(game.n) if not game.is_sink(v)]
-    succs = {v: [s for s in set(game.succs[v]) if not game.is_sink(s)] for v in vertices}
     if k_max is None:
         k_max = len(vertices)
     for size in range(min(k_max, len(vertices)) + 1):
         for combo in itertools.combinations(vertices, size):
-            removed = set(combo)
-            keep = [v for v in vertices if v not in removed]
-            if topological_order(keep, succs) is not None:
+            if is_feedback_set(game, combo):
                 return combo
     return None

@@ -181,6 +181,16 @@ def test_solve_bad_file_is_input_error(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "classify"])
+def test_a_file_that_is_not_utf8_is_input_error(tmp_path, capsys, command):
+    path = tmp_path / "binary.ssg"
+    path.write_bytes(b"ssg 1\n0 sink 1/2\xff\n")
+    assert main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "input error" in captured.err and "0xff" in captured.err
+
+
 def test_solve_non_stopping_suggests_transform(tmp_path, capsys):
     path = write_game(tmp_path, trap_game())
     assert main(["solve", path, "--algorithm", "hk"]) == 2
@@ -395,6 +405,18 @@ def test_bench_rejects_sizes_below_one_before_any_row(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "is not positive" in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--family", "single_cycle", "--sizes", "8,2"], "single_cycle needs n >= 3"),
+    (["--family", "dag_plus_k", "--k", "3", "--sizes", "12,6"], "needs n >= 10 for k=3"),
+    (["--family", "random", "--sizes", "8", "--proportions", "0,0,0,0"], "not all zero"),
+], ids=["single_cycle", "dag_plus_k", "zero_proportions"])
+def test_bench_builds_every_game_before_any_row(capsys, argv, message):
+    assert main(["bench", "--solvers", "auto", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 def test_empty_lists_and_k_below_one_are_usage_errors(capsys):

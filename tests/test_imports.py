@@ -1,9 +1,12 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and
+every module-level private function or class is referenced in it.
 
 No linter ships with the package, so this stands in for an
-unused-import check.  A name counts as used wherever the module reads
-it, annotations included.  ssg/__init__.py is skipped: it imports to
-re-export.
+unused-import and dead-helper check.  A name counts as used wherever
+the module reads it, annotations included; a private definition counts
+as referenced only from outside its own body, so a helper that only
+calls itself is still caught.  ssg/__init__.py is skipped by the import
+check: it imports to re-export.
 """
 
 import ast
@@ -31,6 +34,23 @@ def unused_imports(source: str) -> list[tuple[int, str]]:
     return [(line, name) for line, name in imported_names(tree) if name not in used]
 
 
+def unreferenced_private_definitions(source: str) -> list[tuple[int, str]]:
+    tree = ast.parse(source)
+    private = [
+        node for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+    ]
+
+    def read_outside(definition) -> set[str]:
+        return {
+            node.id
+            for top in tree.body if top is not definition
+            for node in ast.walk(top) if isinstance(node, ast.Name)
+        }
+
+    return [(node.lineno, node.name) for node in private if node.name not in read_outside(node)]
+
+
 def test_the_check_sees_uses_and_misses():
     source = (
         "from __future__ import annotations\n"
@@ -52,3 +72,30 @@ def test_package_modules_use_every_import():
         for line, name in unused_imports(path.read_text(encoding="utf-8"))
     ]
     assert unused == []
+
+
+def test_the_private_check_sees_references_and_misses():
+    source = (
+        "class _Used:\n"
+        "    pass\n"
+        "class _Unused:\n"
+        "    pass\n"
+        "def _recurses(n):\n"
+        "    return _recurses(n - 1) if n else _Used()\n"
+        "def _called(x: int) -> int:\n"
+        "    return x\n"
+        "def public():\n"
+        "    return _called(1)\n"
+    )
+    assert unreferenced_private_definitions(source) == [(3, "_Unused"), (5, "_recurses")]
+
+
+def test_package_modules_reference_every_private_definition():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) >= 10
+    unreferenced = [
+        f"{path.name}:{line} {name}"
+        for path in modules
+        for line, name in unreferenced_private_definitions(path.read_text(encoding="utf-8"))
+    ]
+    assert unreferenced == []

@@ -59,9 +59,35 @@ def test_solve_acyclic_caterpillar():
     assert values[2] == F(1, 2)
 
 
+def test_solve_acyclic_waits_for_every_duplicate_arc():
+    # vertex 0 lists 2 twice and 1 once, and 1 is solved two rounds
+    # after 2: counting distinct successors would solve 0 too early
+    g = game_of([
+        ("max", 2, 2, 1),
+        ("ave", 3, 4),
+        ("min", 5, 5),
+        ("min", 5, 6),
+        ("ave", 3, 6),
+        ("sink", F(1, 3)),
+        ("sink", 1),
+    ])
+    values = solve_acyclic(g)
+    assert values == oracle_solve(g).values
+    assert values[:5] == (F(1, 2), F(1, 2), F(1, 3), F(1, 3), F(2, 3))
+
+
 def test_solve_acyclic_refuses_cycles():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="sink-free cycle"):
         solve_acyclic(two_ave_cycle())
+
+
+@pytest.mark.parametrize("rows", [
+    [("max", 0, 1), ("sink", 1)],  # a self-loop off a sink
+    [("max", 1, 1), ("ave", 2, 3), ("ave", 1, 3), ("sink", 0)],  # 0 only reaches a cycle
+])
+def test_solve_acyclic_refuses_loops_and_what_reaches_a_cycle(rows):
+    with pytest.raises(PreconditionError, match="sink-free cycle"):
+        solve_acyclic(game_of(rows))
 
 
 def test_solve_acyclic_matches_oracle():

@@ -17,7 +17,6 @@ from ssg.structure import (
     feedback_vertex_set,
     is_feedback_set,
     strongly_connected_components,
-    topological_order,
 )
 
 
@@ -252,16 +251,20 @@ def test_feedback_prefers_small_ids_deterministically():
         assert is_feedback_set(g, a)
 
 
-def test_topological_order_points_arcs_forward_and_rejects_cycles():
-    succs = {0: [1, 2], 1: [2, 2], 2: [], 3: [0]}
-    order = topological_order([0, 1, 2, 3], succs)
-    position = {v: i for i, v in enumerate(order)}
-    assert sorted(order) == [0, 1, 2, 3]
-    assert all(position[v] < position[s] for v in succs for s in succs[v])
-    cycle = {0: [1], 1: [2], 2: [0]}
-    assert topological_order([0, 1, 2], cycle) is None
-    # arcs leaving the given vertices are ignored
-    assert topological_order([0, 1], cycle) == [0, 1]
+def test_is_feedback_set_ignores_the_arcs_of_removed_vertices():
+    # vertex 0 lies on both cycles and on a self-loop of its own
+    g = game_of([("max", 0, 1, 2), ("min", 0, 3), ("ave", 0, 3), ("sink", 1)])
+    assert is_feedback_set(g, [0])
+    assert not is_feedback_set(g, [1, 2])
+    assert not is_feedback_set(g, [])
+
+
+def test_is_feedback_set_ignores_sinks_and_ids_out_of_range():
+    g = game_of([("sink", 0), ("max", 2, 0), ("min", 1, 0)])
+    assert is_feedback_set(g, [2])
+    assert is_feedback_set(g, [0, 2, 7])
+    # a sink named twice counts once, and -1 is not the last vertex
+    assert not is_feedback_set(g, [0, 0, 3, -1])
 
 
 AVE_HEAVY = (0.15, 0.15, 0.6, 0.1)
