@@ -22,7 +22,7 @@ from .errors import (
     NotStoppingError,
     PreconditionError,
 )
-from .evaluation import greedy_strategies, require_local_optimality, require_stopping
+from .evaluation import greedy_strategies, require_stopping
 from .gamefile import parse, serialize
 from .generate import DEFAULT_PROPORTIONS, Family, GeneratorSpec, generate
 from .iteration import hoffman_karp
@@ -154,8 +154,10 @@ def solve_command(args: argparse.Namespace) -> int:
     for v, value in enumerate(report.values[: original.n]):
         print(f"  {v} = {_rational(value)}")
     if args.strategies:
-        require_local_optimality(game, report.values)
-        pair = greedy_strategies(game, report.values)
+        try:
+            pair = greedy_strategies(game, report.values)
+        except PreconditionError as exc:  # the values came from a solver
+            raise InternalInvariantError(str(exc)) from exc
         print("strategies:")
         for label, strategy in (("max", pair.sigma), ("min", pair.tau)):
             for v in strategy.support:

@@ -6,17 +6,15 @@ of the sink the chain gets absorbed in.  One kernel, chain_values,
 computes these values exactly for any such choice of arcs: evaluate
 hands it a strategy pair, solvers.closed_values the cycle arcs of a
 component.  Sinks and the vertices of value zero (those that cannot
-reach a positive sink) are settled first.  Every other vertex walks
-forward to the first settled vertex, fork or anchor and keeps an
-integer form: its value is (c/Q + x_base) / 2^k, Q the lcm of the
-settled denominators, x_base the value of a fork (an AVE vertex with
-two distinct unsettled successors) or of an anchor, where a walk
-closed a cycle without a fork and is solved in closed form.  The forks
-alone solve an integer linear system, built sparse, one dict row of at
-most three entries per fork, and eliminated fraction-free in greedy
-Markowitz order (fewest holding rows first), so a chain of forks such
-as a coin chain folds without fill.  Each value becomes one Fraction,
-at the end.
+reach a positive sink) are settled first.  Every other value is an
+integer form (c/Q + a x_base) / 2^k, Q the lcm of the settled
+denominators, filled in backwards from the settled vertices, so coin
+chains and fork-free cycles fold without a row.  Only AVE vertices
+where two unknowns meet, and one vertex per stall on a cycle, become
+unknowns; a row that names only its own unknown is solved in closed
+form, and the others solve one sparse integer system, at most one row
+of three entries per fork, eliminated fraction-free in greedy
+Markowitz order.  Each value becomes one Fraction, at the end.
 
 Both best responses and iteration.hoffman_karp run one guarded
 improvement loop, _improve, over switchable; they differ only in how
@@ -51,6 +49,7 @@ from .model import (
 
 ZERO = Fraction(0)
 HALF = Fraction(1, 2)
+Form = tuple[int, int, int, int | None]  # (c, a, k, base): see chain_values
 
 
 def _require_total(game: Game, *strategies: Strategy) -> None:
@@ -82,7 +81,9 @@ def attractor(
     check_stopping, the exit ranks of greedy strategies, the fork
     opener's search, the DAG order of solvers.solve_acyclic (every arc
     needed, so rounds order each vertex after its successors) and the
-    cover check of structure.is_feedback_set.
+    cover check of structure.is_feedback_set.  The value pass of
+    chain_values is not on the list: it stalls on cycles and resumes
+    from an unknown it picks, which no fixpoint does.
     """
     n = len(arcs)
     preds: list[list[int]] = [[] for _ in range(n)]
@@ -211,112 +212,134 @@ def solve_linear_system(
     return x
 
 
+def _half_sum(f1: Form, f2: Form) -> Form | None:
+    """The form of (f1 + f2) / 2, None if f1 and f2 have two bases."""
+    c, a, k, b = f1
+    c2, a2, k2, b2 = f2
+    if k < k2:
+        c, a, k, b, c2, a2, k2, b2 = c2, a2, k2, b2, c, a, k, b
+    if b is None or b2 is None or b == b2:
+        k2 = k - k2
+        return (c + (c2 << k2), a + (a2 << k2), k + 1, b2 if b is None else b)
+    return None
+
+
 def chain_values(game: Game, chosen: Mapping[int, int]) -> ValueVector:
     """Exact vertex values when every positional vertex v keeps to the
     arc chosen[v]; chosen covers exactly the positional vertices.
 
     Sinks keep their value and vertices that cannot reach a positive
-    sink are worth 0; together they are the settled vertices, and Q is
-    the lcm of their denominators.  A fork is an AVE vertex with two
-    distinct unsettled successors.  Every other vertex walks forward to
-    the first settled vertex or fork: a positional vertex, and an AVE
-    vertex whose two arcs coincide, passes the next value on unchanged,
-    and an AVE vertex with a settled successor s/Q (an escape) is worth
-    half of s/Q plus half the next value.  Each value is an integer form
-    (c, k, base), worth (c/Q + x_base) / 2^k, and an escape step is
-    c = (s << k) + c, k += 1.  A walk that closes a cycle without a fork
-    makes the repeated vertex an anchor a: round the cycle
-    x_a = (c/Q + x_a) / 2^k, so x_a = c / (Q (2^k - 1)).  The forks solve
-    one integer system in the unknowns Q x_f, with anchor terms on the
-    right-hand side, and each value is built as one Fraction at the end.
+    sink are worth 0: the settled vertices, Q the lcm of their
+    denominators.  Every value is an integer form (c, a, k, base), worth
+    (c/Q + a x_base) / 2^k, base an unknown or None (x_None = 0), filled
+    in backwards from the settled vertices once all successors have one:
+    a positional vertex copies its chosen successor's, an AVE vertex
+    halves the sum of its two if they share a base or one has none
+    (_half_sum), and else becomes an unknown, form (0, 1, 0, v).  When
+    the pass stalls, a walk from the smallest vertex left reaches a cycle
+    of vertices left, and the pass resumes from the cycle's first fork
+    (an AVE vertex with two distinct unsettled successors) counted from
+    the vertex that closed the walk, or from that vertex if there is
+    none.  An unknown u whose row names only u is solved in closed form,
+    x_u = c / (Q (2^k - a)) for its row's form (c, a, k, u); the others
+    solve one integer system, at most one row per fork and three entries
+    per row.  Each value is built as one Fraction at the end.
     """
+    n = game.n
     arcs = [(chosen[v],) if v in chosen else out for v, out in enumerate(game.succs)]
-    positive = [v for v in game.sink_vertices if game.sink_value(v) > 0]
-    reach = attractor(arcs, [1] * game.n, positive)
-    q = math.lcm(*[game.sink_value(v).denominator for v in positive])
+    sinks = game.sink_values
+    positive = [v for v in game.sink_vertices if sinks[v].numerator > 0]
+    reach = attractor(arcs, [1] * n, positive)
+    q = math.lcm(*[sinks[v].denominator for v in positive])
     settled = [
         0 if r is None else None if s is None else s.numerator * (q // s.denominator)
-        for r, s in zip(reach, game.sink_values)
+        for r, s in zip(reach, sinks)
     ]
-    # forms[v] = (c, k, base): value(v) = (c/q + x_base) / 2^k, where
-    # base is a fork, an anchor or None (x_None = 0)
-    forms: list[tuple[int, int, int | None] | None] = [
-        None if s is None else (s, 0, None) for s in settled
-    ]
-    step = [0] * game.n
-    escape: dict[int, int] = {}
-    forks: list[int] = []
-    for v, kind in enumerate(game.kinds):
-        if forms[v] is not None:
-            continue
-        if kind is not VertexKind.AVE:
-            step[v] = chosen[v]
-            continue
-        a, b = game.succs[v]
-        if settled[b] is None:
-            a, b = b, a
-        if a == b:
-            step[v] = a
-        elif settled[b] is None:
-            forks.append(v)
-            forms[v] = (0, 0, v)
+    forms: list[Form | None] = [None if s is None else (s, 0, 0, None) for s in settled]
+    preds: list[list[int]] = [[] for _ in range(n)]
+    wait = [0] * n  # arcs of v into vertices without a form
+    ready: list[int] = []
+    for v, out in enumerate(arcs):
+        if forms[v] is None:
+            for s in out:
+                if forms[s] is None:
+                    preds[s].append(v)
+                    wait[v] += 1
+            if not wait[v]:
+                ready.append(v)
+    unknowns: list[int] = []
+    for low in range(n):
+        while ready or forms[low] is None:
+            if not ready:  # stalled: each vertex left has an arc to one left
+                trail: set[int] = set()
+                u = low
+                while u not in trail:
+                    trail.add(u)
+                    u = arcs[u][0] if forms[arcs[u][0]] is None else arcs[u][-1]
+                v = u  # round the cycle from u to its first fork, if any
+                while True:
+                    s, t = arcs[v][0], arcs[v][-1]
+                    if s != t and settled[s] is None and settled[t] is None:
+                        break
+                    v = s if forms[s] is None else t
+                    if v == u:
+                        break
+                unknowns.append(v)
+                forms[v] = (0, 1, 0, v)
+                ready = [v]
+            for v in ready:  # grows as vertices get their forms
+                if forms[v] is None:
+                    out = arcs[v]
+                    f = forms[out[0]] if len(out) == 1 else _half_sum(forms[out[0]], forms[out[1]])
+                    if f is None:
+                        unknowns.append(v)
+                        f = (0, 1, 0, v)
+                    forms[v] = f
+                for p in preds[v]:
+                    wait[p] -= 1
+                    if not wait[p] and forms[p] is None:
+                        ready.append(p)
+            ready = []
+
+    # bases[u] = (m, d): x_u = m / (q d), from a closed row or the solve
+    bases: dict[int | None, tuple[int, int]] = {None: (0, 1)}
+    rows: dict[int, list[Form]] = {}  # x_u is the mean of the listed forms
+    for u in unknowns:
+        out = arcs[u]
+        f = forms[out[0]] if len(out) == 1 else _half_sum(forms[out[0]], forms[out[1]])
+        if f is None or f[3] not in (None, u):
+            rows[u] = [forms[s] for s in out] if f is None else [f]
+        elif f[1] < 1 << f[2]:  # x_u = (c/q + a x_u) / 2^k
+            bases[u] = (f[0], (1 << f[2]) - f[1])
         else:
-            step[v] = a
-            escape[v] = settled[b]
-
-    # bases[b] = (n, d): x_b = n / (q d); forks get theirs from the solve
-    bases = dict.fromkeys([None, *forks], (0, 1))
-    for start in range(game.n):
-        if forms[start] is not None:
-            continue
-        trail: dict[int, None] = {}  # the walk, in order
-        cur = start
-        while forms[cur] is None and cur not in trail:
-            trail[cur] = None
-            cur = step[cur]
-        anchor = cur if cur in trail else None
-        base = forms[cur] if anchor is None else (0, 0, cur)
-        for v in reversed(trail):
-            s = escape.get(v)
-            if s is not None:
-                c, k, f = base
-                base = ((s << k) + c, k + 1, f)
-            if v == anchor:
-                c, k, _ = base
-                if not k:
-                    raise InternalInvariantError("escape-free cycle classified as escaping")
-                bases[v] = (c, (1 << k) - 1)
-                base = (0, 0, v)
-            forms[v] = base
-
-    if forks:
-        index = {f: i for i, f in enumerate(forks)}
-        rows: list[dict[int, int]] = []
+            raise InternalInvariantError("escape-free cycle classified as escaping")
+    if rows:
+        index = {u: i for i, u in enumerate(rows)}
+        matrix: list[dict[int, int]] = []
         rhs: list[int] = []
-        # row of fork f: 2 Q x_f - Q form(t1) - Q form(t2) = 0, times
-        # d 2^top so that it is integer; at most three entries, and
-        # solve_linear_system drops any that cancel
-        for f in forks:
-            terms = [forms[t] for t in game.succs[f]]
-            top = max(k for _, k, _ in terms)
-            d = math.lcm(*[bases[g][1] for _, _, g in terms])
-            row = {index[f]: d << (top + 1)}
+        # len(terms) q x_u - sum of q form(t) = 0, times d 2^top: integers
+        for u, terms in rows.items():
+            top = max(k for _, _, k, _ in terms)
+            d = math.lcm(*[bases[g][1] for _, _, _, g in terms if g not in index])
+            row = {index[u]: (len(terms) * d) << top}
             b = 0
-            for c, k, g in terms:
-                n, dg = bases[g]
-                b += ((c * dg + n) * (d // dg)) << (top - k)
+            for c, a, k, g in terms:
+                m, dg = bases.get(g, (0, 1))  # m = 0 for the system's own
+                b += ((c * dg + a * m) * (d // dg)) << (top - k)
                 if g in index:
-                    j = index[g]
-                    row[j] = row.get(j, 0) - (d << (top - k))
-            rows.append(row)
+                    row[index[g]] = row.get(index[g], 0) - ((a * d) << (top - k))
+            matrix.append(row)
             rhs.append(b)
-        x = solve_linear_system(rows, rhs)
-        bases.update((f, (xf.numerator, xf.denominator)) for f, xf in zip(forks, x))
-    values: dict[tuple[int, int, int | None], Fraction] = {}
+        x = solve_linear_system(matrix, rhs)
+        bases.update((u, (xu.numerator, xu.denominator)) for u, xu in zip(rows, x))
+    values: dict[Form, Fraction] = {(0, 0, 0, None): ZERO}
+    for v in game.sink_vertices:
+        values[forms[v]] = sinks[v]
     for form in set(forms):
-        c, k, g = form
-        n, d = bases[g]
-        values[form] = Fraction(c * d + n, (q * d) << k)
+        if form not in values:
+            c, a, k, g = form
+            m, d = bases[g]
+            values[form] = Fraction(c * d + a * m, (q * d) << k)
     return tuple([values[form] for form in forms])
 
 
@@ -386,7 +409,8 @@ def greedy_strategies(game: Game, w: ValueVector) -> StrategyPair:
     report = check_local_optimality(game, w)
     if not report.satisfied:
         raise PreconditionError(
-            f"value vector violates local optimality at {len(report.violations)} vertices"
+            "value vector violates local optimality at "
+            f"{[bad.vertex for bad in report.violations]}"
         )
     sigma = {v: argbest(VertexKind.MAX, game.succs[v], w) for v in game.max_vertices}
     tau = {v: argbest(VertexKind.MIN, game.succs[v], w) for v in game.min_vertices}

@@ -163,11 +163,10 @@ def closed_values(game: Game, report: StructureReport) -> ValueVector:
 
     With positional choices committed to their one cycle arc the play
     is a Markov chain that only leaves through the coin flips of AVE
-    vertices, and evaluation.chain_values gives its exact values:
-    vertices that cannot reach a positive sink are worth 0, a plain
-    cycle is solved in closed form at its anchor, x = c / (Q (2^k - 1))
-    over the k escapes met going round it, and forking AVE vertices
-    solve an integer linear system with one row per fork.
+    vertices, and evaluation.chain_values gives its exact values: a
+    plain cycle folds into forms of one unknown u, solved in closed
+    form, x_u = c / (Q (2^k - a)) for the form (c, a, k, u) it reads
+    round the cycle, and forking AVE vertices add at most one row each.
     """
     if report.k_p:
         raise PreconditionError("positional fork vertices present")

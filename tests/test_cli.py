@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from helpers import game_stream
-from ssg import cli
+from ssg import cli, evaluation
 from ssg.cli import choose_algorithm, main, run_algorithm
 from ssg.errors import InternalInvariantError, NotStoppingError
 from ssg.gamefile import parse, serialize
@@ -156,6 +156,23 @@ def test_solve_strategies_treat_a_wrong_answer_as_an_internal_error(
     assert main(["solve", path, "--algorithm", "hk", "--strategies"]) == 3
     err = capsys.readouterr().err
     assert "internal invariant violated" in err and "[0, 2]" in err
+
+
+def test_solve_strategies_check_local_optimality_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    check = evaluation.check_local_optimality
+
+    def counting(game, w):
+        calls.append(game.n)
+        return check(game, w)
+
+    monkeypatch.setattr(evaluation, "check_local_optimality", counting)
+    path = write_game(tmp_path, stopping_choice_game())
+    assert main(["solve", path, "--algorithm", "hk"]) == 0
+    plain = len(calls)
+    assert main(["solve", path, "--algorithm", "hk", "--strategies"]) == 0
+    assert len(calls) - 2 * plain == 1
+    assert "max 0 -> 3" in capsys.readouterr().out
 
 
 def test_solve_strategies_leave_a_tied_self_loop_on_non_stopping_games(tmp_path, capsys):

@@ -330,10 +330,89 @@ def coincident_and_sink_arcs_game():
     ])
 
 
+def two_bases_game():
+    # {0, 1} and {2, 3} are fork-free cycles, each solved at its own
+    # unknown; AVE 4 sees both, so two bases meet there, and MAX 5 picks
+    # between 4 and cycle {0, 1}
+    return game_of([
+        ("ave", 1, 6),
+        ("ave", 0, 7),
+        ("ave", 3, 7),
+        ("ave", 2, 6),
+        ("ave", 0, 2),
+        ("max", 4, 0),
+        ("sink", Fraction(1, 3)),
+        ("sink", Fraction(3, 5)),
+    ])
+
+
+def row_naming_another_unknown_game():
+    # the pass stalls on cycle 0 -> 1 -> 3 -> 0 and resumes from fork 0;
+    # AVE 3 then meets base 0 and the base of cycle {4, 5}, so both arcs
+    # of 0 lead to unknown 3 and the row of 0 names 3 alone
+    return game_of([
+        ("ave", 1, 2),
+        ("max", 3, 6),
+        ("min", 3, 7),
+        ("ave", 0, 4),
+        ("ave", 5, 6),
+        ("ave", 4, 7),
+        ("sink", Fraction(2, 7)),
+        ("sink", 1),
+    ])
+
+
+def duplicate_arcs_game():
+    # AVE 0 and 2 list one successor twice, on cycles through 1 and 3;
+    # AVE 4 lists one sink twice
+    return game_of([
+        ("ave", 1, 1),
+        ("ave", 0, 5),
+        ("ave", 3, 3),
+        ("max", 2, 0, 4),
+        ("ave", 6, 6),
+        ("sink", Fraction(1, 2)),
+        ("sink", Fraction(3, 4)),
+    ])
+
+
+def zero_region_cycle_game():
+    # AVE cycle {0, 1} has no arc out and MIN 3 can keep {2, 3} away
+    # from the only positive sink: both are worth 0 however played, and
+    # a closed row there would read 0 / 0
+    return game_of([
+        ("ave", 1, 1),
+        ("ave", 0, 0),
+        ("ave", 3, 4),
+        ("min", 2, 5),
+        ("sink", 0),
+        ("ave", 2, 6),
+        ("sink", Fraction(5, 6)),
+    ])
+
+
+def upstream_stall_game():
+    # the smallest vertex left at the stall, 0, only leads into the
+    # cycle 2 -> 3 -> 2; the walk from 0 closes it at 2
+    return game_of([
+        ("ave", 1, 4),
+        ("max", 2, 4),
+        ("ave", 3, 5),
+        ("min", 2, 5),
+        ("sink", Fraction(1, 5)),
+        ("sink", 1),
+    ])
+
+
 def test_evaluate_matches_a_dense_reference_system():
+    ave_heavy = (0.15, 0.15, 0.6, 0.1)
     corpora = [
         game_stream(12, family, min_n=low, max_n=high, seed=41, stopping=stopping)
         for family, low, high in ((Family.RANDOM, 4, 9), (Family.SINGLE_CYCLE, 4, 12))
+        for stopping in (True, False)
+    ]
+    corpora += [
+        game_stream(12, min_n=4, max_n=12, seed=43, stopping=stopping, proportions=ave_heavy)
         for stopping in (True, False)
     ]
     # dag_plus_k games are stopping by construction
@@ -341,6 +420,11 @@ def test_evaluate_matches_a_dense_reference_system():
     corpora.append(
         [make_stopping(g, 3) for g in game_stream(8, max_n=6, seed=43, stopping=False)]
     )
+    corpora.append([
+        make_stopping(g, 10)
+        for g in game_stream(4, Family.SINGLE_CYCLE, min_n=4, max_n=7, seed=47)
+        + game_stream(4, min_n=4, max_n=5, seed=47, proportions=ave_heavy)
+    ])
     rng = random.Random(2024)
     checked = 0
     for corpus in corpora:
@@ -349,11 +433,18 @@ def test_evaluate_matches_a_dense_reference_system():
                 sigma, tau = random_pair(g, rng)
                 assert evaluate(g, sigma, tau) == dense_evaluate(g, sigma, tau)
                 checked += 1
-    g = coincident_and_sink_arcs_game()
-    for sigma, tau in all_pairs(g):
-        assert evaluate(g, sigma, tau) == dense_evaluate(g, sigma, tau)
-        checked += 1
-    assert checked >= 300
+    for g in (
+        coincident_and_sink_arcs_game(),
+        two_bases_game(),
+        row_naming_another_unknown_game(),
+        duplicate_arcs_game(),
+        zero_region_cycle_game(),
+        upstream_stall_game(),
+    ):
+        for sigma, tau in all_pairs(g):
+            assert evaluate(g, sigma, tau) == dense_evaluate(g, sigma, tau)
+            checked += 1
+    assert checked >= 400
 
 
 def test_evaluate_solves_fork_free_cycles_without_a_linear_system(monkeypatch):
@@ -397,25 +488,45 @@ def _fork_count(game, chosen):
     )
 
 
-def test_fork_system_rows_stay_sparse_on_coin_chains(monkeypatch):
-    systems, forks = [], []
+def _fork_systems(monkeypatch, games):
+    """Per chain_values call of hoffman_karp on each game: its fork count
+    and the rows of the systems it solved."""
+    calls = []
     solve, chain_values = evaluation.solve_linear_system, evaluation.chain_values
 
     def recording_solve(rows, rhs):
-        systems.append(rows)
+        calls[-1][1].extend(rows)
         return solve(rows, rhs)
 
     def counting_chain_values(game, chosen):
-        forks.append(_fork_count(game, chosen))
+        calls.append((_fork_count(game, chosen), []))
         return chain_values(game, chosen)
 
     monkeypatch.setattr(evaluation, "solve_linear_system", recording_solve)
     monkeypatch.setattr(evaluation, "chain_values", counting_chain_values)
-    for n in range(10, 15):
-        for seed in range(2):
-            game = generate(GeneratorSpec(n=n, family=Family.SINGLE_CYCLE, seed=seed))
-            hoffman_karp(make_stopping(game, 10))
-    # systems wider than three, so a dense row would show
-    assert max(len(rows) for rows in systems) > 3
-    assert max(len(row) for rows in systems for row in rows) <= 3
-    assert sum(len(rows) for rows in systems) == sum(forks)
+    for game in games:
+        hoffman_karp(game, require_stopping=False)
+    monkeypatch.undo()
+    return calls
+
+
+def test_fork_system_stays_within_the_fork_count(monkeypatch):
+    # coin chains fold into forms: no make_stopping single cycle needs a system
+    chains = _fork_systems(monkeypatch, [
+        make_stopping(generate(GeneratorSpec(n=n, family=Family.SINGLE_CYCLE, seed=seed)), 10)
+        for n in range(10, 15)
+        for seed in range(2)
+    ])
+    assert sum(forks for forks, _ in chains) > 1000
+    assert all(not rows for _, rows in chains)
+    # where forks meet, at most one sparse row per fork, and fewer in all
+    ave_heavy = (0.15, 0.15, 0.6, 0.1)
+    heavy = _fork_systems(monkeypatch, [
+        generate(GeneratorSpec(n=n, family=Family.RANDOM, seed=seed, proportions=ave_heavy))
+        for n in (40, 80)
+        for seed in range(3)
+    ])
+    assert all(len(rows) <= forks for forks, rows in heavy)
+    assert max(len(rows) for _, rows in heavy) > 3
+    assert max(len(row) for _, rows in heavy for row in rows) <= 3
+    assert 0 < sum(len(rows) for _, rows in heavy) < sum(forks for forks, _ in heavy)
