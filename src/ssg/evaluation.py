@@ -10,7 +10,7 @@ reach a positive sink) are settled first.  Every other value is an
 integer form (c/Q + a x_base) / 2^k, Q the lcm of the settled
 denominators, filled in backwards from the settled vertices, so coin
 chains and fork-free cycles fold without a row.  Only AVE vertices
-where two unknowns meet, and one vertex per stall on a cycle, become
+where two unknowns meet, and one vertex picked per stall, become
 unknowns; a row that names only its own unknown is solved in closed
 form, and the others solve one sparse integer system, at most one row
 of three entries per fork, eliminated fraction-free in greedy
@@ -212,10 +212,11 @@ def solve_linear_system(
     return x
 
 
-def _half_sum(f1: Form, f2: Form) -> Form | None:
-    """The form of (f1 + f2) / 2, None if f1 and f2 have two bases."""
-    c, a, k, b = f1
-    c2, a2, k2, b2 = f2
+def _mean_form(forms: Sequence[Form | None], out: Sequence[int]) -> Form | None:
+    """The mean of forms[s] over the one or two arcs out; None if two bases meet."""
+    if len(out) == 1:
+        return forms[out[0]]
+    (c, a, k, b), (c2, a2, k2, b2) = forms[out[0]], forms[out[1]]
     if k < k2:
         c, a, k, b, c2, a2, k2, b2 = c2, a2, k2, b2, c, a, k, b
     if b is None or b2 is None or b == b2:
@@ -235,15 +236,16 @@ def chain_values(game: Game, chosen: Mapping[int, int]) -> ValueVector:
     in backwards from the settled vertices once all successors have one:
     a positional vertex copies its chosen successor's, an AVE vertex
     halves the sum of its two if they share a base or one has none
-    (_half_sum), and else becomes an unknown, form (0, 1, 0, v).  When
-    the pass stalls, a walk from the smallest vertex left reaches a cycle
-    of vertices left, and the pass resumes from the cycle's first fork
-    (an AVE vertex with two distinct unsettled successors) counted from
-    the vertex that closed the walk, or from that vertex if there is
-    none.  An unknown u whose row names only u is solved in closed form,
-    x_u = c / (Q (2^k - a)) for its row's form (c, a, k, u); the others
-    solve one integer system, at most one row per fork and three entries
-    per row.  Each value is built as one Fraction at the end.
+    (_mean_form), and else becomes an unknown, form (0, 1, 0, v).  A
+    stalled pass resumes from the top of a walk kept across stalls, once
+    what got a form is off it: a fork (an AVE vertex with two distinct
+    unsettled successors), as its step got a form.  An empty walk steps
+    on from the smallest vertex left (first arcs first) to a vertex u on
+    it, and the pass resumes from its first fork from u on, else from u;
+    no vertex is walked twice.  An unknown u whose row names only u is
+    solved in closed form, x_u = c / (Q (2^k - a)) for its row's form
+    (c, a, k, u); the others solve one integer system, at most one row
+    per fork and three entries per row.
     """
     n = game.n
     arcs = [(chosen[v],) if v in chosen else out for v, out in enumerate(game.succs)]
@@ -268,29 +270,29 @@ def chain_values(game: Game, chosen: Mapping[int, int]) -> ValueVector:
             if not wait[v]:
                 ready.append(v)
     unknowns: list[int] = []
+    walk, at = [], {}  # vertices walked, each stepping on to the next, and their indices
     for low in range(n):
         while ready or forms[low] is None:
             if not ready:  # stalled: each vertex left has an arc to one left
-                trail: set[int] = set()
-                u = low
-                while u not in trail:
-                    trail.add(u)
+                while walk and forms[walk[-1]] is not None:
+                    walk.pop()
+                u = walk[-1] if walk else low  # a stalled fork, else walk from low
+                while u not in at:
+                    at[u] = len(walk)
+                    walk.append(u)
                     u = arcs[u][0] if forms[arcs[u][0]] is None else arcs[u][-1]
-                v = u  # round the cycle from u to its first fork, if any
-                while True:
+                for v in walk[at[u] :]:  # the walk's first fork from u on
                     s, t = arcs[v][0], arcs[v][-1]
                     if s != t and settled[s] is None and settled[t] is None:
                         break
-                    v = s if forms[s] is None else t
-                    if v == u:
-                        break
+                else:
+                    v = u
+                ready = [v]
                 unknowns.append(v)
                 forms[v] = (0, 1, 0, v)
-                ready = [v]
             for v in ready:  # grows as vertices get their forms
                 if forms[v] is None:
-                    out = arcs[v]
-                    f = forms[out[0]] if len(out) == 1 else _half_sum(forms[out[0]], forms[out[1]])
+                    f = _mean_form(forms, arcs[v])
                     if f is None:
                         unknowns.append(v)
                         f = (0, 1, 0, v)
@@ -301,14 +303,12 @@ def chain_values(game: Game, chosen: Mapping[int, int]) -> ValueVector:
                         ready.append(p)
             ready = []
 
-    # bases[u] = (m, d): x_u = m / (q d), from a closed row or the solve
-    bases: dict[int | None, tuple[int, int]] = {None: (0, 1)}
+    bases: dict[int | None, tuple[int, int]] = {None: (0, 1)}  # u -> (m, d): x_u = m / (q d)
     rows: dict[int, list[Form]] = {}  # x_u is the mean of the listed forms
     for u in unknowns:
-        out = arcs[u]
-        f = forms[out[0]] if len(out) == 1 else _half_sum(forms[out[0]], forms[out[1]])
+        f = _mean_form(forms, arcs[u])
         if f is None or f[3] not in (None, u):
-            rows[u] = [forms[s] for s in out] if f is None else [f]
+            rows[u] = [forms[s] for s in arcs[u]] if f is None else [f]
         elif f[1] < 1 << f[2]:  # x_u = (c/q + a x_u) / 2^k
             bases[u] = (f[0], (1 << f[2]) - f[1])
         else:

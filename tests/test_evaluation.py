@@ -1,6 +1,7 @@
 """Exact play evaluation under fixed strategy pairs, and local optimality."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -461,6 +462,71 @@ def test_evaluate_solves_fork_free_cycles_without_a_linear_system(monkeypatch):
     values = evaluate(g, Strategy(Player.MAX, {}), Strategy(Player.MIN, {}))
     assert sum(dims) == 0
     assert all(value == Fraction(1, 3) for value in values)
+
+
+def path_with_side_cycles(length):
+    # AVE p_i steps on to p_(i+1) and aside into its own escaping cycle
+    # {a_i, b_i}, so p_i waits on every side cycle beyond it
+    sink_a, sink_b = 3 * length, 3 * length + 1
+    path = [("ave", i + 1 if i + 1 < length else sink_a, length + i) for i in range(length)]
+    sides = [("ave", 2 * length + i, sink_a) for i in range(length)]
+    sides += [("ave", length + i, sink_b) for i in range(length)]
+    return game_of(path + sides + [("sink", Fraction(1, 2)), ("sink", Fraction(1, 3))])
+
+
+def forks_into_a_coin_path(k):
+    # forks f_i = (c_0, f_(i+1)); coins c_j = (c_(j+1), sink) run into the
+    # ladder g_i = (f_i, g_(i+1)) of forks back to f_i
+    f, c, g, sink = 0, k, 2 * k, 3 * k
+    forks = [("ave", c, f + i + 1 if i + 1 < k else sink) for i in range(k)]
+    coins = [("ave", c + j + 1 if j + 1 < k else g, sink) for j in range(k)]
+    ladder = [("ave", f + i, g + i + 1 if i + 1 < k else sink) for i in range(k)]
+    return game_of(forks + coins + ladder + [("sink", Fraction(1, 3))])
+
+
+def fork_ladder_round_a_coin_path(k):
+    # forks f_i = (f_(i+1), c_0) lead into coins c_j = (c_(j+1), sink),
+    # which run into the ladder h_i = (h_(i+1), f_(k-i)) of forks back to
+    # f_0, so the coins wait on every fork
+    f, c, h, sink = 0, k, 2 * k, 3 * k
+    forks = [("ave", f + i + 1 if i + 1 < k else c, c) for i in range(k)]
+    coins = [("ave", c + j + 1 if j + 1 < k else h, sink) for j in range(k)]
+    ladder = [("ave", h + i + 1 if i + 1 < k else f, f + k - i if i else sink) for i in range(k)]
+    return game_of(forks + coins + ladder + [("sink", Fraction(1, 3))])
+
+
+def _kernel_lines(game):
+    """Lines chain_values and the code nested in it run on game with no
+    positional vertex, not counting the functions it calls."""
+    count = 0
+    code = evaluation.chain_values.__code__
+    codes = {code, *[c for c in code.co_consts if hasattr(c, "co_code")]}
+
+    def local(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code in codes else None)
+    try:
+        values = evaluation.chain_values(game, {})
+    finally:
+        sys.settrace(previous)
+    assert values == dense_evaluate(
+        game, Strategy(Player.MAX, {}), Strategy(Player.MIN, {})
+    )
+    return count
+
+
+@pytest.mark.parametrize(
+    "family", [path_with_side_cycles, forks_into_a_coin_path, fork_ladder_round_a_coin_path]
+)
+def test_the_value_pass_walks_each_vertex_once(family):
+    # at 4 times the size, a walk restarted from the smallest vertex left
+    # at every stall runs 8 to 12 times the lines here, a kept walk 4 times
+    small, large = _kernel_lines(family(60)), _kernel_lines(family(240))
+    assert large < 5 * small, (small, large)
 
 
 def _fork_count(game, chosen):
