@@ -7,6 +7,10 @@ fixed point is x's true value.  Bisection narrows an interval around
 the fixed point, and stops as soon as the simplest rational in it is
 the only one with denominator within the game's precision bound; a
 Stern-Brocot walk names that rational and one more solve verifies it.
+f is piecewise affine, so once both ends of the interval are solved
+the chord through them often meets the diagonal at the fixed point:
+when the two solves, interpolated there, are locally optimal on the
+vertices below x, that point is certified and one solve ends the search.
 Iterating the trick over a whole feedback vertex set solves any
 stopping game whose cycles are covered by a few vertices; the set must
 cover every cycle.  solve_feedback is the one entry: dichotomy_solve,
@@ -95,8 +99,17 @@ def _dichotomy_core(
     x's value lies between its values there.  The trials are plain
     bisection's, except that one outside that bracket is decided
     without a solve, one midpoint guess may replace the first, and the
-    loop ends once the bracket pins the value: no level makes more
-    trials than plain bisection from [0, 1] on the same game.
+    loop ends once the bracket pins the value or a chord certifies it.
+    The chord step runs after every trial that leaves both ends of the
+    bracket solved by this level: the chord through (floor, f(floor))
+    and (ceiling, f(ceiling)) meets the diagonal at s.  If the two
+    solves' values, interpolated at s over x's downstream cone and set
+    to s at x, are locally optimal on the cone and at x, they are the
+    values of that closed stopping part of the game with x frozen at s,
+    so f(s) = s exactly.  The check solves nothing; the one solve at s
+    ends the level where bisection would still make at least its
+    candidate's, so no level makes more trials than plain bisection
+    from [0, 1] on the same game.
     """
     if not xs:
         return subsolver(game)
@@ -128,21 +141,51 @@ def _dichotomy_core(
         and not pinned(floor, ceiling)
     )
     below = above = None  # from here on, this level's own solves
+    f_floor = f_ceiling = Fraction(0)  # f at floor and ceiling, once solved
+    cone: list[int] = []  # x and its cone's playable vertices, once needed
+
+    def chord() -> Fraction | None:
+        # s, where the chord through the solved ends meets the diagonal,
+        # once the ends' values interpolated there certify f(s) = s on
+        # x's cone: the vertices x's successors reach without x
+        up, down = f_floor - floor, ceiling - f_ceiling
+        t = up / (up + down)
+        s = floor + t * (ceiling - floor)
+        if s.denominator > bound:
+            return None
+        if not cone:
+            cone.append(x)
+            seen, stack = {x}, list(game.succs[x])
+            while stack:
+                v = stack.pop()
+                if v not in seen:
+                    seen.add(v)
+                    if not game.is_sink(v):
+                        cone.append(v)
+                        stack.extend(game.succs[v])
+        w = list(below)
+        for v in cone:
+            if below[v] != above[v]:
+                w[v] += t * (above[v] - below[v])
+        w[x] = s
+        return s if all(one_step_value(game, w, v) == w[v] for v in cone) else None
+
     if guess:
         mid = (floor + ceiling) / 2
         values, fm = solve_at(mid)
         if fm == mid:
             return values
         if fm > mid:
-            floor, below = mid, values
+            floor, below, f_floor = mid, values, fm
         else:
-            ceiling, above = mid, values
+            ceiling, above, f_ceiling = mid, values, fm
     # plain bisection's trials, in units of 1/scale: it stops at width
     # 1/scale; [floor, ceiling] stays the narrowest bracket known
     scale = 1 << (bound * bound - 1).bit_length()
     first = -(-floor.numerator * scale // floor.denominator)
     last = ceiling.numerator * scale // ceiling.denominator
     lo, hi = 0, scale
+    candidate = None
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if mid < first:
@@ -157,15 +200,19 @@ def _dichotomy_core(
             if fm == trial:
                 return values
             if fm > trial:
-                lo, floor, below = mid, trial, values
+                lo, floor, below, f_floor = mid, trial, values, fm
             else:
-                hi, ceiling, above = mid, trial, values
-    candidate = stern_brocot(floor, ceiling, bound)
+                hi, ceiling, above, f_ceiling = mid, trial, values, fm
+            if below is not None and above is not None:
+                candidate = chord()
+                if candidate is not None:
+                    break
+    if candidate is None:
+        candidate = stern_brocot(floor, ceiling, bound)
     values, fc = solve_at(candidate)
     if fc != candidate:
         raise InternalInvariantError(
-            f"no fixed point at the unique candidate {candidate} "
-            f"in [{floor}, {ceiling}]"
+            f"no fixed point at the candidate {candidate} in [{floor}, {ceiling}]"
         )
     return values
 
@@ -221,9 +268,13 @@ def solve_feedback(
     value lies between its values in the enclosing level's solves at
     the ends of that level's bracket, so the inner bisection skips
     every trial outside those two values and, when the bracket already
-    decides the trial 1/2, tries their midpoint in its place.  Only the
-    final answer is certified (evaluation.require_local_optimality):
-    on a stopping game local optimality pins the values.  Refuses,
+    decides the trial 1/2, tries their midpoint in its place.  A level
+    with both ends of its bracket solved lands where the chord through
+    them meets the diagonal once the two solves, interpolated there,
+    are locally optimal below its vertex; that one solve ends the level
+    in place of bisection's last.  Only the final answer is certified
+    (evaluation.require_local_optimality): on a stopping game local
+    optimality pins the values.  Refuses,
     before any subsolve, vertices that are not playable, sets that
     leave a cycle uncovered and games that are not stopping.
     """

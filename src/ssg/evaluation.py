@@ -287,6 +287,8 @@ def chain_values(game: Game, chosen: Mapping[int, int]) -> ValueVector:
                         break
                 else:
                     v = u
+                if forms[v] is not None:  # resetting it would stall the pass forever
+                    raise InternalInvariantError(f"value pass stalled on {v}, which has a form")
                 ready = [v]
                 unknowns.append(v)
                 forms[v] = (0, 1, 0, v)

@@ -174,22 +174,63 @@ def test_dichotomy_matches_oracle_within_call_budget():
     assert solved == 25
 
 
-def test_bisection_can_still_need_every_halving():
-    # 9/28 under a bound of 42: no bracket wider than the last one holds
-    # it alone, so every halving runs before the Stern-Brocot step
-    g = game_of([
+def flat_f():
+    # vertex 2 is worth min(v, 0) = 0, so f(v) = 9/28 for every trial v
+    return game_of([
         ("ave", 1, 3),
         ("ave", 2, 3),
         ("min", 0, 4),
         ("sink", F(3, 7)),
         ("sink", 0),
     ])
+
+
+def test_bisection_can_still_need_every_halving():
+    # 9/28 under a bound of 42: no bracket wider than the last one holds
+    # it alone, so plain bisection runs every halving before its
+    # Stern-Brocot step.  f is constant, so the chord through the first
+    # two trials' ends lands on 9/28: the third solve
+    g = flat_f()
     bound = value_denominator_bound(g)
-    counter = CountingSolver()
+    counter, reference = CountingSolver(), CountingSolver()
+    assert plain_bisection(g, [0], reference)[0] == F(9, 28)
+    assert reference.calls == (bound * bound - 1).bit_length() + 1
     values = dichotomy_solve(g, 0, subsolver=counter)
-    assert counter.calls == (bound * bound - 1).bit_length() + 1
+    assert counter.calls == 3
     assert values[0] == F(9, 28)
     assert values == oracle_solve(g).values
+
+
+def test_chord_step_stays_silent_where_f_bends_at_its_fixed_point():
+    # f(v) = min(v, 3/7) / 4 + 9/28 bends at its fixed point 3/7, so
+    # every chord across the bracket meets the diagonal below 3/7 and
+    # fails its certificate: bisection alone decides, in 10 solves
+    g = game_of([
+        ("ave", 1, 3),
+        ("ave", 2, 3),
+        ("min", 0, 4),
+        ("sink", F(3, 7)),
+        ("sink", F(3, 7)),
+    ])
+    counter = CountingSolver()
+    values = dichotomy_solve(g, 0, subsolver=counter)
+    assert counter.calls == 10
+    assert values[0] == F(3, 7)
+    assert values == oracle_solve(g).values
+
+
+def test_a_chord_landing_is_verified_by_its_solve():
+    # a subsolver exact at the two bracket ends but wrong at the chord
+    # point 9/28: the certificate still lands there, and the solve that
+    # ends the level finds no fixed point
+    def wrong_at_9_28(game):
+        values = list(solve_acyclic(game))
+        if game.sink_value(0) == F(9, 28):
+            values[1] = F(0)
+        return tuple(values)
+
+    with pytest.raises(InternalInvariantError, match="no fixed point at the candidate 9/28"):
+        dichotomy_solve(flat_f(), 0, wrong_at_9_28)
 
 
 # --- simplest rational in an interval --------------------------------------
@@ -315,7 +356,7 @@ def test_solve_feedback_never_solves_more_than_plain_bisection():
         ours += counter.calls
         plain += reference.calls
     assert len(corpus) > 50
-    assert 5 * ours < plain
+    assert 15 * ours < plain
 
 
 def test_solve_feedback_matches_strategy_iteration_on_three_vertex_sets():
