@@ -7,10 +7,10 @@ fixed point is x's true value.  Bisection narrows an interval around
 the fixed point, and stops as soon as the simplest rational in it is
 the only one with denominator within the game's precision bound; a
 Stern-Brocot walk names that rational and one more solve verifies it.
-f is piecewise affine, so once both ends of the interval are solved
-the chord through them often meets the diagonal at the fixed point:
-when the two solves, interpolated there, are locally optimal on the
-vertices below x, that point is certified and one solve ends the search.
+Each trial's values also name a strategy pair, every MAX and MIN vertex
+on its best successor; when that pair's values are locally optimal they
+are the game's values (Condon, Inf. Comput. 96, 1992), and the search
+ends there, a Hoffman-Karp step that bisection's bracket keeps safe.
 Iterating the trick over a whole feedback vertex set solves any
 stopping game whose cycles are covered by a few vertices; the set must
 cover every cycle.  solve_feedback is the one entry: dichotomy_solve,
@@ -27,8 +27,14 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import InternalInvariantError, PreconditionError
-from .evaluation import one_step_value, require_local_optimality, require_stopping
-from .model import Game, RationalLike, ValueVector, VertexKind, as_fraction, vertex_to_sink
+from .evaluation import (
+    chain_values,
+    check_local_optimality,
+    one_step_value,
+    require_local_optimality,
+    require_stopping,
+)
+from .model import Game, RationalLike, ValueVector, VertexKind, argbest, as_fraction, vertex_to_sink
 from .solvers import solve_acyclic
 from .structure import is_feedback_set
 
@@ -98,25 +104,25 @@ def _dichotomy_core(
     an end it has not solved.  A raised sink never lowers a value, so
     x's value lies between its values there.  The trials are plain
     bisection's, except that one outside that bracket is decided
-    without a solve, one midpoint guess may replace the first, and the
-    loop ends once the bracket pins the value or a chord certifies it.
-    The chord step runs after every trial that leaves both ends of the
-    bracket solved by this level: the chord through (floor, f(floor))
-    and (ceiling, f(ceiling)) meets the diagonal at s.  If the two
-    solves' values, interpolated at s over x's downstream cone and set
-    to s at x, are locally optimal on the cone and at x, they are the
-    values of that closed stopping part of the game with x frozen at s,
-    so f(s) = s exactly.  The check solves nothing; the one solve at s
-    ends the level where bisection would still make at least its
-    candidate's, so no level makes more trials than plain bisection
-    from [0, 1] on the same game.
+    without a solve, and the loop ends once the bracket pins the value
+    or a strategy step lands.  The step follows every trial: each MAX
+    and MIN vertex, x included, takes its best successor under the
+    trial's values (model.argbest), and one evaluation.chain_values pass
+    gives the game's values u under that pair.  If u is locally optimal
+    it is the value vector, since the game is stopping, and the level
+    returns it; otherwise bisection goes on as if the step had not run.
+    The step solves nothing, so no level makes more trials than plain
+    bisection from [0, 1] on the same game.  A leaf certifies its
+    subsolver's values, since a step that reads strategies off wrong
+    values can still evaluate them honestly.
     """
     if not xs:
-        return subsolver(game)
+        return require_local_optimality(game, subsolver(game))
     x, rest = xs[0], xs[1:]
     bound = value_denominator_bound(game)
     floor = Fraction(0) if below is None else below[x]
     ceiling = Fraction(1) if above is None else above[x]
+    positional = game.max_vertices + game.min_vertices
 
     def solve_at(v: Fraction) -> tuple[ValueVector, Fraction]:
         values = _dichotomy_core(vertex_to_sink(game, x, v), rest, subsolver, below, above)
@@ -130,62 +136,13 @@ def _dichotomy_core(
             return False
         return width * stern_brocot(lo, hi, bound).denominator * bound < 1
 
-    # with both ends solved, try their midpoint first: it is exact
-    # wherever x's value moves affinely with the enclosing trial.  It
-    # stands in for plain bisection's first trial, 1/2, so it is only
-    # made when the bracket already decides that one.
-    guess = (
-        below is not None
-        and above is not None
-        and not floor <= Fraction(1, 2) <= ceiling
-        and not pinned(floor, ceiling)
-    )
-    below = above = None  # from here on, this level's own solves
-    f_floor = f_ceiling = Fraction(0)  # f at floor and ceiling, once solved
-    cone: list[int] = []  # x and its cone's playable vertices, once needed
-
-    def chord() -> Fraction | None:
-        # s, where the chord through the solved ends meets the diagonal,
-        # once the ends' values interpolated there certify f(s) = s on
-        # x's cone: the vertices x's successors reach without x
-        up, down = f_floor - floor, ceiling - f_ceiling
-        t = up / (up + down)
-        s = floor + t * (ceiling - floor)
-        if s.denominator > bound:
-            return None
-        if not cone:
-            cone.append(x)
-            seen, stack = {x}, list(game.succs[x])
-            while stack:
-                v = stack.pop()
-                if v not in seen:
-                    seen.add(v)
-                    if not game.is_sink(v):
-                        cone.append(v)
-                        stack.extend(game.succs[v])
-        w = list(below)
-        for v in cone:
-            if below[v] != above[v]:
-                w[v] += t * (above[v] - below[v])
-        w[x] = s
-        return s if all(one_step_value(game, w, v) == w[v] for v in cone) else None
-
-    if guess:
-        mid = (floor + ceiling) / 2
-        values, fm = solve_at(mid)
-        if fm == mid:
-            return values
-        if fm > mid:
-            floor, below, f_floor = mid, values, fm
-        else:
-            ceiling, above, f_ceiling = mid, values, fm
     # plain bisection's trials, in units of 1/scale: it stops at width
     # 1/scale; [floor, ceiling] stays the narrowest bracket known
     scale = 1 << (bound * bound - 1).bit_length()
     first = -(-floor.numerator * scale // floor.denominator)
     last = ceiling.numerator * scale // ceiling.denominator
+    below = above = None  # from here on, this level's own solves
     lo, hi = 0, scale
-    candidate = None
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if mid < first:
@@ -199,16 +156,15 @@ def _dichotomy_core(
             values, fm = solve_at(trial)
             if fm == trial:
                 return values
+            chosen = {v: argbest(game.kinds[v], game.succs[v], values) for v in positional}
+            u = chain_values(game, chosen)
+            if check_local_optimality(game, u).satisfied:
+                return u
             if fm > trial:
-                lo, floor, below, f_floor = mid, trial, values, fm
+                lo, floor, below = mid, trial, values
             else:
-                hi, ceiling, above, f_ceiling = mid, trial, values, fm
-            if below is not None and above is not None:
-                candidate = chord()
-                if candidate is not None:
-                    break
-    if candidate is None:
-        candidate = stern_brocot(floor, ceiling, bound)
+                hi, ceiling, above = mid, trial, values
+    candidate = stern_brocot(floor, ceiling, bound)
     values, fc = solve_at(candidate)
     if fc != candidate:
         raise InternalInvariantError(
@@ -267,16 +223,15 @@ def solve_feedback(
     for instrumentation).  An inner level is warm-started: its vertex's
     value lies between its values in the enclosing level's solves at
     the ends of that level's bracket, so the inner bisection skips
-    every trial outside those two values and, when the bracket already
-    decides the trial 1/2, tries their midpoint in its place.  A level
-    with both ends of its bracket solved lands where the chord through
-    them meets the diagonal once the two solves, interpolated there,
-    are locally optimal below its vertex; that one solve ends the level
-    in place of bisection's last.  Only the final answer is certified
-    (evaluation.require_local_optimality): on a stopping game local
-    optimality pins the values.  Refuses,
-    before any subsolve, vertices that are not playable, sets that
-    leave a cycle uncovered and games that are not stopping.
+    every trial outside those two values.  After each trial a level
+    evaluates its game under the strategy pair read off the trial's
+    values and ends if the result is locally optimal; a failed step
+    solves nothing.  Every subsolve is certified
+    (evaluation.require_local_optimality) before a step reads
+    strategies off it, and so is the final answer: on a stopping game
+    local optimality pins the values.  Refuses, before any subsolve,
+    vertices that are not playable, sets that leave a cycle uncovered
+    and games that are not stopping.
     """
     xs = sorted(set(feedback))
     for x in xs:

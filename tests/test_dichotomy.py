@@ -188,23 +188,25 @@ def flat_f():
 def test_bisection_can_still_need_every_halving():
     # 9/28 under a bound of 42: no bracket wider than the last one holds
     # it alone, so plain bisection runs every halving before its
-    # Stern-Brocot step.  f is constant, so the chord through the first
-    # two trials' ends lands on 9/28: the third solve
+    # Stern-Brocot step.  The strategy step lands after the first solve:
+    # at the trial 1/2, MIN at vertex 2 already leaves for the 0-sink,
+    # its optimal arc, so the pair read off that solve is optimal
     g = flat_f()
     bound = value_denominator_bound(g)
     counter, reference = CountingSolver(), CountingSolver()
     assert plain_bisection(g, [0], reference)[0] == F(9, 28)
     assert reference.calls == (bound * bound - 1).bit_length() + 1
     values = dichotomy_solve(g, 0, subsolver=counter)
-    assert counter.calls == 3
+    assert counter.calls == 1
     assert values[0] == F(9, 28)
     assert values == oracle_solve(g).values
 
 
-def test_chord_step_stays_silent_where_f_bends_at_its_fixed_point():
-    # f(v) = min(v, 3/7) / 4 + 9/28 bends at its fixed point 3/7, so
-    # every chord across the bracket meets the diagonal below 3/7 and
-    # fails its certificate: bisection alone decides, in 10 solves
+def test_strategy_step_lands_where_f_bends_at_its_fixed_point():
+    # f(v) = min(v, 3/7) / 4 + 9/28 bends at its fixed point 3/7.  The
+    # first trial, 1/2, lies above 3/7, so MIN at vertex 2 takes the
+    # 3/7-sink there, its optimal arc: the strategy step lands after one
+    # solve
     g = game_of([
         ("ave", 1, 3),
         ("ave", 2, 3),
@@ -214,23 +216,9 @@ def test_chord_step_stays_silent_where_f_bends_at_its_fixed_point():
     ])
     counter = CountingSolver()
     values = dichotomy_solve(g, 0, subsolver=counter)
-    assert counter.calls == 10
+    assert counter.calls == 1
     assert values[0] == F(3, 7)
     assert values == oracle_solve(g).values
-
-
-def test_a_chord_landing_is_verified_by_its_solve():
-    # a subsolver exact at the two bracket ends but wrong at the chord
-    # point 9/28: the certificate still lands there, and the solve that
-    # ends the level finds no fixed point
-    def wrong_at_9_28(game):
-        values = list(solve_acyclic(game))
-        if game.sink_value(0) == F(9, 28):
-            values[1] = F(0)
-        return tuple(values)
-
-    with pytest.raises(InternalInvariantError, match="no fixed point at the candidate 9/28"):
-        dichotomy_solve(flat_f(), 0, wrong_at_9_28)
 
 
 # --- simplest rational in an interval --------------------------------------
@@ -356,7 +344,7 @@ def test_solve_feedback_never_solves_more_than_plain_bisection():
         ours += counter.calls
         plain += reference.calls
     assert len(corpus) > 50
-    assert 15 * ours < plain
+    assert 100 * ours < plain
 
 
 def test_solve_feedback_matches_strategy_iteration_on_three_vertex_sets():
@@ -372,6 +360,32 @@ def test_solve_feedback_matches_strategy_iteration_on_three_vertex_sets():
         assert solve_feedback(g, fvs) == hoffman_karp(g).values
         count += 1
     assert count >= 25
+
+
+def test_feedback_corpus_matches_strategy_iteration_within_its_subsolves():
+    # AVE-heavy and mixed random games with covers of one to three
+    # vertices: the strategy step lands on most levels, 254 subsolves in
+    # all.  Bisection's fallback still runs: the worst game, AVE-heavy
+    # n = 24 seed 42, takes 28, and two games (AVE-heavy n = 20 seed 59,
+    # mixed n = 40 seed 17) end a level on its Stern-Brocot candidate
+    games = subsolves = 0
+    for proportions in (AVE_HEAVY, (0.25, 0.25, 0.4, 0.1)):
+        for n in range(16, 41, 4):
+            for seed in range(60):
+                g = generate(GeneratorSpec(
+                    n=n, family=Family.RANDOM, seed=seed, proportions=proportions
+                ))
+                if not check_stopping(g).stopping:
+                    continue
+                fvs = feedback_vertex_set(g, 3)
+                if fvs is None:
+                    continue
+                counter = CountingSolver()
+                assert solve_feedback(g, fvs, counter) == hoffman_karp(g).values
+                games += 1
+                subsolves += counter.calls
+    assert games == 65
+    assert subsolves <= 300
 
 
 # --- stopping transform ------------------------------------------------------
