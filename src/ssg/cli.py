@@ -22,7 +22,7 @@ from .errors import (
     NotStoppingError,
     PreconditionError,
 )
-from .evaluation import greedy_strategies, require_stopping
+from .evaluation import check_stopping, greedy_strategies, require_stopping
 from .gamefile import parse, serialize
 from .generate import DEFAULT_PROPORTIONS, Family, GeneratorSpec, generate
 from .iteration import hoffman_karp
@@ -73,7 +73,9 @@ def choose_algorithm(game: Game) -> str:
         return "max_acyclic"
     if report.k_p + report.k_a <= FORK_WEIGHT_LIMIT:
         return "fork_fpt"
-    if feedback_vertex_set(game, FEEDBACK_SIZE_LIMIT) is not None:
+    # feedback and hk both refuse a non-stopping game; hk does so at once
+    stopping = check_stopping(game).stopping
+    if stopping and feedback_vertex_set(game, FEEDBACK_SIZE_LIMIT) is not None:
         return "feedback"
     return "hk"
 

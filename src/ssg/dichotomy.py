@@ -139,20 +139,18 @@ def _dichotomy_core(
     # plain bisection's trials, in units of 1/scale: it stops at width
     # 1/scale; [floor, ceiling] stays the narrowest bracket known
     scale = 1 << (bound * bound - 1).bit_length()
-    first = -(-floor.numerator * scale // floor.denominator)
-    last = ceiling.numerator * scale // ceiling.denominator
     below = above = None  # from here on, this level's own solves
     lo, hi = 0, scale
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if mid < first:
+        trial = Fraction(mid, scale)
+        if trial < floor:
             lo = mid
-        elif mid > last:
+        elif trial > ceiling:
             hi = mid
         elif pinned(floor, ceiling):
             break
         else:
-            trial = Fraction(mid, scale)
             values, fm = solve_at(trial)
             if fm == trial:
                 return values

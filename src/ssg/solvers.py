@@ -2,11 +2,13 @@
 
 Acyclic games fall to a single backward pass; strongly connected
 MAX-acyclic games to strategy iteration with a linear iteration bound.
-Every component without positional forks goes through one opening
-search: closed values, then one opening pass per side, recursing on
-the number of AVE forks down to single cycles, where each pass costs
-at most two acyclic solves.  Positional forks are enumerated around
-that search.  All of them return exact rationals and certify their
+Every other component goes through one recursion, _fork_component:
+enumerate the cycle arcs of its positional forks, then try closed
+values and one opening pass per side, recursing on the number of AVE
+forks down to single cycles, where each pass costs at most two acyclic
+solves.  Each pass opens the escaping vertex nearest before a fork,
+and on a single cycle the smallest-id escaping vertex stands in for
+the fork.  All of them return exact rationals and certify their
 answer against the local optimality equations.
 """
 
@@ -77,12 +79,13 @@ def solve_by_scc(game: Game, component_solver) -> ValueVector:
     return require_local_optimality(game, values)
 
 
-def _require_one_cycle_component(game: Game, report: StructureReport) -> None:
+def _require_one_cycle_component(game: Game) -> None:
     """The preconditions shared by the strongly connected solvers.
 
     Every non-sink vertex must belong to a single cyclic component
     (frontier sinks aside).
     """
+    report = game.structure
     on_cycles = {v for v, targets in enumerate(report.cycle_succs) if targets}
     nonsinks = {v for v, kind in enumerate(game.kinds) if kind is not VertexKind.SINK}
     if nonsinks != on_cycles:
@@ -101,9 +104,8 @@ def solve_max_acyclic_scc(game: Game) -> ValueVector:
     the all-open start provably needs at most one improvement step per
     MAX vertex; that bound is asserted.
     """
-    report = game.structure
-    _require_one_cycle_component(game, report)
-    if not report.is_max_acyclic:
+    _require_one_cycle_component(game)
+    if not game.structure.is_max_acyclic:
         raise PreconditionError("a MAX vertex has two outgoing cycle arcs")
     merged = merge_sink_neighbors(game)
     trace = hoffman_karp(merged, require_stopping=False)
@@ -122,18 +124,18 @@ def _with_succs(game: Game, v: int, succs: tuple[int, ...]) -> Game:
     return game.replace(succs=tuple(new_succs))
 
 
-def _escape(game: Game, report: StructureReport, v: int, kind: VertexKind) -> int | None:
+def _escape(game: Game, v: int, kind: VertexKind) -> int | None:
     """The best arc out of the cycle of a `kind` vertex v, or None when
     v is of another kind or has none.  Escapes lead to sinks: real ones
     or solved frontier vertices."""
     if game.kinds[v] is not kind:
         return None
-    escapes = sorted(set(game.succs[v]).difference(report.cycle_succs[v]))
+    escapes = sorted(set(game.succs[v]).difference(game.structure.cycle_succs[v]))
     return argbest(kind, escapes, game.sink_values) if escapes else None
 
 
-def _opened(game: Game, report: StructureReport, v: int, kind: VertexKind) -> Game:
-    return _with_succs(game, v, (_escape(game, report, v, kind),))
+def _opened(game: Game, v: int, kind: VertexKind) -> Game:
+    return _with_succs(game, v, (_escape(game, v, kind),))
 
 
 def _first_opened(
@@ -170,7 +172,7 @@ def closed_values(game: Game, report: StructureReport) -> ValueVector:
     """
     if report.k_p:
         raise PreconditionError("positional fork vertices present")
-    _require_one_cycle_component(game, report)
+    _require_one_cycle_component(game)
     chosen = {}
     for v, kind in enumerate(game.kinds):
         if kind is VertexKind.SINK or v in report.fork_average:
@@ -188,70 +190,65 @@ def closed_values(game: Game, report: StructureReport) -> ValueVector:
 def solve_almost_acyclic_scc(game: Game) -> ValueVector:
     """Solve one strongly connected single cycle exactly.
 
-    A single cycle is the fork-free base case of the fork recursion,
-    _average_fork_component called directly: try the all-closed values,
-    then open the smallest-id escaping MAX vertex, solve the acyclic
-    game that leaves, and also try the MAX vertex that solution really
-    opens first; then the same on the MIN side.  Local optimality in
-    the original game decides acceptance, and for single cycles one of
-    these steps always lands.
+    A single cycle is the base case of the fork recursion,
+    _fork_component called directly: try the all-closed values, then
+    open the smallest-id escaping MAX vertex (the fork opener's rule,
+    with that vertex standing in for the missing fork), solve the
+    acyclic game that leaves, and also try the MAX vertex that solution
+    really opens first; then the same on the MIN side.  Local
+    optimality in the original game decides acceptance, and for single
+    cycles one of these steps always lands.
     """
-    report = game.structure
-    if report.k_p or report.k_a:
+    if game.structure.k_p or game.structure.k_a:
         raise PreconditionError("component is not a single cycle")
-    return _average_fork_component(game)
+    return _fork_component(game)
 
 
 def solve_fork_fpt(game: Game) -> ValueVector:
     """Solve a stopping game with few fork vertices.
 
-    Per strongly connected component: enumerate the cycle-arc choices
-    of positional fork vertices (2^{k_p} branches when binary), and
-    within each branch recurse on the number of AVE forks by opening
-    one vertex at a time, as described at _average_fork_component.  A
-    candidate solution is accepted when it satisfies local optimality
-    in the component, which on stopping games identifies the value
-    vector exactly.
+    Per strongly connected component, _fork_component enumerates the
+    cycle-arc choices of positional fork vertices (2^{k_p} branches
+    when binary), and within each branch recurses on the number of AVE
+    forks by opening one vertex at a time.  A candidate solution is
+    accepted when it satisfies local optimality in the component, which
+    on stopping games identifies the value vector exactly.
     """
     require_stopping(game)
-    return solve_by_scc(game, _positional_fork_component)
+    return solve_by_scc(game, _fork_component)
 
 
-def _positional_fork_component(cgame: Game) -> ValueVector:
-    report = cgame.structure
-    forks = sorted(report.fork_positional)
-    if not forks:
-        return _average_fork_component(cgame)
-    pools = [report.cycle_succs[v] for v in forks]
-    for combo in itertools.product(*pools):
-        sub = cgame
-        for v, keep in zip(forks, combo):
-            cycle = report.cycle_succs[v]
-            kept = tuple([s for s in sub.succs[v] if s not in cycle or s == keep])
-            sub = _with_succs(sub, v, kept)
-        w = solve_by_scc(sub, _average_fork_component)
-        if check_local_optimality(cgame, w).satisfied:
-            return w
-    raise InternalInvariantError("no positional fork resolution was optimal")
+def _fork_component(cgame: Game) -> ValueVector:
+    """One strongly connected component of the fork recursion.
 
-
-def _average_fork_component(cgame: Game) -> ValueVector:
-    """One strongly connected component with only AVE forks left.
-
-    Try the all-closed values; then for each side in turn, open the
-    nearest escaping vertex strictly before a fork, solve the smaller
-    game, and use its solution to nominate the few vertices that could
-    be the truly optimal opening (the first opened vertices downstream
-    of each fork).  Each solve recurses through solve_by_scc on
-    strictly fewer AVE forks, which bounds the depth by k_a plus one;
-    an opened game that keeps k_a raises InternalInvariantError.  With
-    no fork the component is a single cycle: the smallest-id escaping
-    vertex opens and stands in for the fork, and each opened game is a
-    DAG.  Local optimality in this component decides acceptance.
+    With positional forks, each choice of one cycle arc per fork is
+    solved through solve_by_scc, and the first branch that is locally
+    optimal in this component wins.  Without them, try the all-closed
+    values; then for each side in turn, open the nearest escaping
+    vertex strictly before a fork, solve the smaller game, and use its
+    solution to nominate the few vertices that could be the truly
+    optimal opening (the first opened vertices downstream of each
+    fork).  An opening replaces one vertex's arcs by a single escape,
+    so it adds no positional fork, and each solve recurses through
+    solve_by_scc on strictly fewer AVE forks, which bounds the depth by
+    k_a plus one; an opened game that keeps k_a raises
+    InternalInvariantError.  With no fork the component is a single
+    cycle and each opened game is a DAG.
     """
     report = cgame.structure
-    if report.k_p:
-        raise InternalInvariantError("positional fork inside the fork-free recursion")
+    forks = sorted(report.fork_positional)
+    if forks:
+        pools = [report.cycle_succs[v] for v in forks]
+        for combo in itertools.product(*pools):
+            sub = cgame
+            for v, keep in zip(forks, combo):
+                cycle = report.cycle_succs[v]
+                kept = tuple([s for s in sub.succs[v] if s not in cycle or s == keep])
+                sub = _with_succs(sub, v, kept)
+            w = solve_by_scc(sub, _fork_component)
+            if check_local_optimality(cgame, w).satisfied:
+                return w
+        raise InternalInvariantError("no positional fork resolution was optimal")
     w = closed_values(cgame, report)
     if check_local_optimality(cgame, w).satisfied:
         return w
@@ -262,36 +259,31 @@ def _average_fork_component(cgame: Game) -> ValueVector:
             raise InternalInvariantError(
                 "MAX side failed on a component that play never has to leave"
             )
-        found = _fork_opening_pass(cgame, report, kind)
+        found = _fork_opening_pass(cgame, kind)
         if found is not None:
             return found
     raise InternalInvariantError("no opening was optimal")
 
 
-def _fork_opening_pass(
-    cgame: Game, report: StructureReport, kind: VertexKind
-) -> ValueVector | None:
-    escaping = [v for v in range(cgame.n) if _escape(cgame, report, v, kind) is not None]
-    forks = sorted(report.fork_average)
+def _fork_opening_pass(cgame: Game, kind: VertexKind) -> ValueVector | None:
+    report = cgame.structure
+    escaping = [v for v in range(cgame.n) if _escape(cgame, v, kind) is not None]
+    # the smallest-id escaping vertex stands in for a missing fork; the
+    # opener is the escaping vertex of least (round, id) in a fork's
+    # attractor over the other vertices' cycle arcs, from the first
+    # fork whose attractor holds one
+    forks = sorted(report.fork_average) or escaping[:1]
+    fork_set = set(forks)
+    arcs = [() if v in fork_set else a for v, a in enumerate(report.cycle_succs)]
     opener = None
-    if not forks:
-        # the smallest-id escaping vertex stands in for the missing fork
-        opener = escaping[0] if escaping else None
-        forks = [opener]
-    else:
-        # the escaping vertex of least (round, id) in a fork's attractor
-        # over the cycle arcs of non-fork vertices, from the first fork
-        # whose attractor holds one
-        arcs = [() if v in report.fork_average else a for v, a in enumerate(report.cycle_succs)]
-        for f in forks:
-            rounds = attractor(arcs, [1] * cgame.n, [f])
-            near = [(rounds[v], v) for v in escaping if rounds[v] is not None]
-            if near:
-                opener = min(near)[1]
-                break
+    for f in forks:
+        rounds = attractor(arcs, [1] * cgame.n, [f])
+        near = [(rounds[v], v) for v in escaping if rounds[v] is not None]
+        if near:
+            opener = min(near)[1]
+            break
     if opener is None:
         return None
-    fork_set = set(forks)
 
     def solve(sub: Game) -> ValueVector:
         if report.k_a == 0:
@@ -300,9 +292,9 @@ def _fork_opening_pass(
             raise InternalInvariantError(
                 f"average fork weight went from {report.k_a} to {sub.structure.k_a}"
             )
-        return solve_by_scc(sub, _average_fork_component)
+        return solve_by_scc(sub, _fork_component)
 
-    sub1 = _opened(cgame, report, opener, kind)
+    sub1 = _opened(cgame, opener, kind)
     w1 = solve(sub1)
     if check_local_optimality(cgame, w1).satisfied:
         return w1
@@ -315,7 +307,7 @@ def _fork_opening_pass(
             if c is None or c in tried:
                 continue
             tried.add(c)
-            w = solve(_opened(cgame, report, c, kind))
+            w = solve(_opened(cgame, c, kind))
             if check_local_optimality(cgame, w).satisfied:
                 return w
     return None

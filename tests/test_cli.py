@@ -10,7 +10,7 @@ import pytest
 from helpers import game_stream
 from ssg import cli, evaluation
 from ssg.cli import choose_algorithm, main, run_algorithm
-from ssg.errors import InternalInvariantError, NotStoppingError
+from ssg.errors import InternalInvariantError, NotStoppingError, PreconditionError
 from ssg.gamefile import parse, serialize
 from ssg.generate import Family, GeneratorSpec, generate
 from ssg.iteration import hoffman_karp
@@ -94,23 +94,38 @@ def stopping_choice_game():
     ])
 
 
-def test_dichotomy_refuses_a_non_stopping_game_before_its_set_search(monkeypatch):
+@pytest.mark.parametrize("algorithm, game", [
     # two disjoint positional cycles: no one-vertex cover, and MAX and
     # MIN can keep the play circling
-    def no_search(*args):
-        raise AssertionError("feedback set searched for a game about to be refused")
-
-    monkeypatch.setattr(cli, "feedback_vertex_set", no_search)
-    g = game_of([
+    pytest.param("dichotomy", game_of([
         ("max", 1, 4),
         ("min", 0, 5),
         ("max", 3, 4),
         ("min", 2, 5),
         ("sink", 1),
         ("sink", 0),
-    ])
+    ]), id="dichotomy"),
+    # k_p + k_a = 11 and 12, past fork_fpt: a cover of three exists for
+    # the first, none for the second, and neither game stops
+    pytest.param("auto", generate(GeneratorSpec(n=14, family=Family.RANDOM, seed=38)),
+                 id="auto-random-14-38"),
+    pytest.param("auto", generate(GeneratorSpec(n=15, family=Family.RANDOM, seed=49)),
+                 id="auto-random-15-49"),
+])
+def test_dichotomy_refuses_a_non_stopping_game_before_its_set_search(
+    monkeypatch, algorithm, game
+):
+    def no_search(*args):
+        raise AssertionError("feedback set searched for a game about to be refused")
+
+    monkeypatch.setattr(cli, "feedback_vertex_set", no_search)
     with pytest.raises(NotStoppingError):
-        run_algorithm(g, "dichotomy")
+        run_algorithm(game, algorithm)
+
+
+def test_run_algorithm_refuses_an_unknown_name():
+    with pytest.raises(PreconditionError, match="unknown algorithm 'nope'"):
+        run_algorithm(cycle_game(), "nope")
 
 
 def test_run_algorithm_reports_hk_iterations():
@@ -227,6 +242,27 @@ def test_feedback_refuses_a_non_stopping_game_before_its_set_search(
     assert main(["solve", path, "--algorithm", "feedback"]) == 2
     err = capsys.readouterr().err
     assert "refused" in err and "not stopping" in err
+
+
+def test_solve_feedback_covers_two_cycles_that_dichotomy_refuses(tmp_path, capsys):
+    # two disjoint AVE cycles, each leaking to both sinks: a stopping
+    # game whose smallest feedback vertex set has two vertices
+    path = write_game(tmp_path, game_of([
+        ("ave", 1, 4),
+        ("ave", 0, 5),
+        ("ave", 3, 4),
+        ("ave", 2, 5),
+        ("sink", 1),
+        ("sink", 0),
+    ]))
+    assert main(["solve", path, "--algorithm", "dichotomy"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "refused: no feedback vertex set of size <= 1" in captured.err
+    assert main(["solve", path, "--algorithm", "feedback"]) == 0
+    out = capsys.readouterr().out
+    assert re.search(r"^subsolver calls: [1-9]\d*$", out, re.M)
+    assert "  0 = 2/3" in out
 
 
 def test_solve_make_stopping_flag(tmp_path, capsys):
@@ -450,6 +486,20 @@ def test_empty_lists_and_k_below_one_are_usage_errors(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
+
+
+@pytest.mark.parametrize("option, text, message", [
+    ("--proportions", "1,1,1", "four comma-separated numbers"),
+    ("--proportions", "1,1,x,1", "could not convert string to float"),
+    ("--reps", "1.5", "invalid literal for int()"),
+    ("--solvers", "auto,nope", "unknown solver 'nope'"),
+], ids=["three_proportions", "non_number_proportion", "non_integer_reps", "unknown_solver"])
+def test_malformed_option_values_are_usage_errors(capsys, option, text, message):
+    argv = ["bench", "--family", "single_cycle", "--sizes", "6", "--solvers", "auto"]
+    assert main(argv + [option, text]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 def test_bench_rejects_non_positive_reps(capsys):

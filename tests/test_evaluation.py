@@ -1,6 +1,7 @@
 """Exact play evaluation under fixed strategy pairs, and local optimality."""
 
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ import random
 from ssg import evaluation
 from ssg.cli import run_algorithm
 from ssg.dichotomy import make_stopping, value_denominator_bound
-from ssg.errors import InternalInvariantError, PreconditionError
+from ssg.errors import InternalInvariantError, InvalidStrategyError, PreconditionError
 from ssg.evaluation import (
     attractor,
     best_response_max,
@@ -75,6 +76,22 @@ def test_one_step_value():
     w = {2: Fraction(1, 4), 3: Fraction(3, 4)}
     assert one_step_value(g, w, 0) == Fraction(3, 4)
     assert one_step_value(g, w, 1) == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("sigma, tau, message", [
+    (Strategy(Player.MIN, {1: 0}), Strategy(Player.MAX, {0: 1}), "expects (MAX strategy"),
+    (Strategy(Player.MAX, {}), Strategy(Player.MIN, {1: 0}), "MAX strategy does not cover"),
+], ids=["owners_swapped", "partial"])
+def test_evaluate_refuses_a_pair_that_is_not_total(sigma, tau, message):
+    g = game_of([("max", 1, 2), ("min", 0, 2), ("sink", 1)])
+    with pytest.raises(InvalidStrategyError, match=re.escape(message)):
+        evaluate(g, sigma, tau)
+
+
+def test_check_local_optimality_refuses_a_short_vector():
+    g = game_of([("max", 1, 2), ("sink", 0), ("sink", 1)])
+    with pytest.raises(PreconditionError, match="length differs"):
+        check_local_optimality(g, (Fraction(1), Fraction(0)))
 
 
 def test_check_local_optimality_flags_bad_max_choice():

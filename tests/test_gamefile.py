@@ -1,5 +1,6 @@
 """Text format round-trips and parse diagnostics."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -74,6 +75,16 @@ def test_parse_rejects_decimal_and_negative_sink_values():
 def test_parse_rejects_wrong_ave_arity():
     with pytest.raises(InvalidGameError, match="two successors"):
         parse("ssg 1\n0 ave 1 1 1\n1 sink 1/1\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("ssg 1\n0\n", "line 2: expected '<id> <kind> ...'"),
+    ("ssg 1\n# nothing but a comment\n", "no vertex lines after the header"),
+    ("ssg 1\n0 max\n", "line 2: vertex 0 has no successors"),
+], ids=["one_token", "header_only", "no_successors"])
+def test_parse_rejects_incomplete_lines(text, message):
+    with pytest.raises(InvalidGameError, match=re.escape(message)):
+        parse(text)
 
 
 def test_serialize_reduces_and_orders():

@@ -1,5 +1,6 @@
 """Game structure, validation, and the small graph surgeries."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -66,6 +67,30 @@ def test_validate_rejects_broken_sink_self_loop():
         validate(bad)
 
 
+@pytest.mark.parametrize("rows, message", [
+    ([(), ("sink", 1)], "vertex 0: empty row"),
+    ([("avg", 1, 1), ("sink", 1)], "vertex 0: unknown kind 'avg'"),
+    ([("max", 1), ("sink",)], "vertex 1: sink rows are ('sink', value)"),
+    ([("max", 1), ("sink", 1, 1)], "vertex 1: sink rows are ('sink', value)"),
+], ids=["empty", "unknown_kind", "sink_without_value", "sink_with_arcs"])
+def test_game_of_rejects_malformed_rows(rows, message):
+    with pytest.raises(InvalidGameError, match=re.escape(message)):
+        game_of(rows)
+
+
+SINK, MAX = VertexKind.SINK, VertexKind.MAX
+
+
+@pytest.mark.parametrize("game, message", [
+    (Game((MAX, SINK), ((1,), (1,)), (None,)), "must have equal length"),
+    (Game((MAX, SINK), ((1,), (1,)), (None, None)), "sink 1 has no value"),
+    (Game((MAX, SINK), ((1,), (1,)), (Fraction(1), Fraction(1))), "non-sink 0 carries"),
+], ids=["unequal_fields", "sink_without_value", "non_sink_with_value"])
+def test_validate_rejects_inconsistent_fields(game, message):
+    with pytest.raises(InvalidGameError, match=message):
+        validate(game)
+
+
 def test_as_fraction_rejects_floats():
     assert as_fraction("2/6") == Fraction(1, 3)
     assert as_fraction(1) == 1
@@ -111,6 +136,19 @@ def test_vertex_to_sink_rejects_ids_outside_the_game(vertex):
     g = game_of([("max", 1, 2), ("min", 0, 2), ("sink", 1)])
     with pytest.raises(InvalidGameError, match="out of range"):
         vertex_to_sink(g, vertex, Fraction(1, 3))
+
+
+@pytest.mark.parametrize("value", [Fraction(3, 2), -1])
+def test_vertex_to_sink_rejects_values_outside_the_unit_interval(value):
+    g = game_of([("max", 1, 2), ("min", 0, 2), ("sink", 1)])
+    with pytest.raises(InvalidGameError, match=r"outside \[0, 1\]"):
+        vertex_to_sink(g, 1, value)
+
+
+def test_sink_value_refuses_a_non_sink():
+    g = game_of([("max", 1), ("sink", 1)])
+    with pytest.raises(InvalidGameError, match="vertex 0 is not a sink"):
+        g.sink_value(0)
 
 
 def test_merge_sink_neighbors_keeps_best_sink_for_each_owner():

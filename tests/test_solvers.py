@@ -11,6 +11,7 @@ from ssg.cli import run_algorithm
 from ssg.errors import InternalInvariantError, NotStoppingError, PreconditionError
 from ssg.evaluation import check_stopping, evaluate, greedy_strategies
 from ssg.generate import Family, GeneratorSpec, generate
+from ssg.iteration import hoffman_karp
 from ssg.model import VertexKind, game_of
 from ssg.oracle import oracle_solve
 from ssg.solvers import (
@@ -290,6 +291,13 @@ def test_almost_acyclic_rejects_disconnected_cycles():
         solve_almost_acyclic_scc(g)
 
 
+def test_almost_acyclic_rejects_a_tail_off_the_cycle():
+    # AVE 2 enters the single cycle 0 <-> 1 but lies on no cycle itself
+    g = game_of([("ave", 1, 3), ("ave", 0, 3), ("ave", 0, 3), ("sink", F(1, 2))])
+    with pytest.raises(PreconditionError, match="one strongly connected component plus sinks"):
+        solve_almost_acyclic_scc(g)
+
+
 def test_almost_acyclic_matches_oracle():
     # non-stopping cycles are where the side order and the MAX-side
     # invariant matter, so both kinds must stay in the corpus
@@ -400,10 +408,53 @@ def test_fork_fpt_matches_oracle_on_random_games():
         assert solve_fork_fpt(g) == oracle_solve(g).values
 
 
+def fork_corpus():
+    """Stopping games with 0 < k_p + k_a <= 10 from three families, n = 12-24."""
+    for n in range(12, 25, 4):
+        for seed in range(40):
+            specs = [
+                GeneratorSpec(n=n, family=Family.DAG_PLUS_K, seed=seed, k=k) for k in (1, 2, 3)
+            ] + [
+                GeneratorSpec(
+                    n=n, family=Family.RANDOM, seed=seed, proportions=(0.25, 0.25, 0.4, 0.1)
+                ),
+                GeneratorSpec(n=n, family=Family.MAX_ACYCLIC, seed=seed),
+            ]
+            for spec in specs:
+                g = generate(spec)
+                weight = g.structure.k_p + g.structure.k_a
+                if 0 < weight <= 10 and check_stopping(g).stopping:
+                    yield g
+
+
+def test_fork_recursion_stays_within_its_counted_solves(monkeypatch):
+    # a count, not a clock: each branch of positional forks starts with
+    # closed values, and each opening ends in acyclic solves once its
+    # AVE forks are gone; the totals pin how many the recursion makes
+    calls = {"closed": 0, "acyclic": 0}
+
+    def counting(name, solver):
+        def counted(*args):
+            calls[name] += 1
+            return solver(*args)
+        return counted
+
+    monkeypatch.setattr(solvers, "closed_values", counting("closed", solvers.closed_values))
+    monkeypatch.setattr(solvers, "solve_acyclic", counting("acyclic", solvers.solve_acyclic))
+    games = positional = average = 0
+    for g in fork_corpus():
+        assert solve_fork_fpt(g) == hoffman_karp(g).values
+        games += 1
+        positional += g.structure.k_p > 0
+        average += g.structure.k_a > 0
+    assert (games, positional, average) == (150, 109, 95)
+    assert calls == {"closed": 355, "acyclic": 82}
+
+
 def test_fork_recursion_refuses_an_opening_that_keeps_its_forks(monkeypatch):
     # with openings that open nothing, every opened game keeps the
     # component's average fork weight, so the recursion must stop there
-    monkeypatch.setattr(solvers, "_opened", lambda game, report, v, kind: game)
+    monkeypatch.setattr(solvers, "_opened", lambda game, v, kind: game)
     raised = 0
     for seed in range(200):
         for n in range(10, 13):
@@ -436,9 +487,9 @@ def test_fork_opening_takes_the_nearest_escape_before_the_fork(monkeypatch):
     opened = []
     original = solvers._opened
 
-    def recording(game, report, v, kind):
+    def recording(game, v, kind):
         opened.append(v)
-        return original(game, report, v, kind)
+        return original(game, v, kind)
 
     monkeypatch.setattr(solvers, "_opened", recording)
     assert solve_fork_fpt(g) == oracle_solve(g).values
