@@ -14,7 +14,8 @@ where two unknowns meet, and one vertex picked per stall, become
 unknowns; a row that names only its own unknown is solved in closed
 form, and the others solve one sparse integer system, at most one row
 of three entries per fork, eliminated fraction-free in greedy
-Markowitz order.  Each value becomes one Fraction, at the end.
+Markowitz order.  Each value becomes one Fraction, at the end, and
+values are compared on their integers, cross-multiplied.
 
 Both best responses and iteration.hoffman_karp run one guarded
 improvement loop, _improve, over switchable; they differ only in how
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
@@ -43,12 +43,12 @@ from .model import (
     StrategyPair,
     ValueVector,
     VertexKind,
+    _parts,
     argbest,
     check_strategy,
 )
 
 ZERO = Fraction(0)
-HALF = Fraction(1, 2)
 Form = tuple[int, int, int, int | None]  # (c, a, k, base): see chain_values
 
 
@@ -367,16 +367,21 @@ class OptimalityReport:
 
 
 def one_step_value(game: Game, w: ValueVector, v: int) -> Fraction:
-    """Value the local optimality equations demand at one vertex."""
+    """Value the local optimality equations demand at one vertex; a new
+    Fraction only at an AVE vertex, else a value of w or the game."""
     kind = game.kinds[v]
     if kind is VertexKind.SINK:
         return game.sink_value(v)
     if kind is VertexKind.AVE:
         s1, s2 = game.succs[v]
-        return HALF * (w[s1] + w[s2])
-    if kind is VertexKind.MAX:
-        return max(w[s] for s in game.succs[v])
-    return min(w[s] for s in game.succs[v])
+        a, b = w[s1], w[s2]
+        try:
+            n1, d1, n2, d2 = a.numerator, a.denominator, b.numerator, b.denominator
+        except AttributeError:
+            _parts(w, (s1, s2))  # raises unless both are ints or Fractions
+            raise
+        return Fraction(n1 * d2 + n2 * d1, 2 * d1 * d2)
+    return w[argbest(kind, game.succs[v], w)]
 
 
 def check_local_optimality(game: Game, w: ValueVector) -> OptimalityReport:
@@ -385,16 +390,28 @@ def check_local_optimality(game: Game, w: ValueVector) -> OptimalityReport:
     MAX vertices must equal the maximum over successors, MIN the
     minimum, AVE the half-sum of its two successors, sinks their own
     value.  In a stopping game these equations pin down the value
-    vector uniquely.
+    vector uniquely.  w's ints or Fractions are compared on their
+    integers, and only a failing vertex gets one_step_value's Fraction.
     """
     if len(w) != game.n:
         raise PreconditionError("value vector length differs from vertex count")
-    violations = []
-    for v in range(game.n):
-        expected = one_step_value(game, w, v)
-        if w[v] != expected:
-            violations.append(Violation(v, expected, w[v]))
-    return OptimalityReport(not violations, tuple(violations))
+    parts, succs = _parts(w, range(game.n)), game.succs
+    ave, sink = VertexKind.AVE, VertexKind.SINK
+    bad = []
+    for v, kind in enumerate(game.kinds):
+        num, den = parts[v]
+        if kind is ave:
+            (n1, d1), (n2, d2) = parts[succs[v][0]], parts[succs[v][1]]
+            ok = (n1 * d2 + n2 * d1) * den == 2 * num * d1 * d2
+        elif kind is sink:
+            x = game.sink_values[v]
+            ok = num * x.denominator == x.numerator * den
+        else:  # equal values have equal parts, both in lowest terms
+            ok = parts[argbest(kind, succs[v], w)] == (num, den)
+        if not ok:
+            bad.append(v)
+    violations = tuple([Violation(v, one_step_value(game, w, v), w[v]) for v in bad])
+    return OptimalityReport(not violations, violations)
 
 
 def greedy_strategies(game: Game, w: ValueVector) -> StrategyPair:
@@ -478,12 +495,12 @@ def switchable(
     sorted by vertex id.
     """
     kind = strategy.owner.kind
-    pick, better = (max, operator.gt) if kind is VertexKind.MAX else (min, operator.lt)
     found = []
     for v in game.owned_vertices(strategy.owner):
-        succs = game.succs[v]
-        if better(pick(values[s] for s in succs), values[strategy[v]]):
-            found.append((v, argbest(kind, succs, values)))
+        best = argbest(kind, game.succs[v], values)
+        b, c = values[best], values[strategy[v]]
+        if b.numerator * c.denominator != c.numerator * b.denominator:  # the pick never trails
+            found.append((v, best))
     return tuple(found)
 
 
@@ -501,7 +518,7 @@ def _improve(
     value moves the owner's way, every switched one strictly, within
     cap rounds.  Returns the visited strategies and the last response.
     """
-    better = operator.gt if strategy.owner is Player.MAX else operator.lt
+    sign = 1 if strategy.owner is Player.MAX else -1
     history = [strategy]
     reply = respond(strategy)
     while switches := switchable(game, strategy, reply[1]):
@@ -514,12 +531,13 @@ def _improve(
         values, reply = reply[1], respond(strategy)
         new = reply[1]
         for i, (a, b) in enumerate(zip(values, new)):
-            if better(a, b):
+            if sign * (a.numerator * b.denominator - b.numerator * a.denominator) > 0:
                 raise InternalInvariantError(
                     f"policy iteration lost monotonicity at vertex {i}: {a} -> {b}"
                 )
         for v, _ in switches:
-            if not better(new[v], values[v]):
+            a, b = values[v], new[v]
+            if sign * (b.numerator * a.denominator - a.numerator * b.denominator) <= 0:
                 raise InternalInvariantError(
                     f"switched vertex {v} did not strictly improve: {values[v]} -> {new[v]}"
                 )
@@ -583,11 +601,15 @@ def check_stopping(game: Game) -> StoppingReport:
     members at least one.  It is the complement of the attractor of the
     sinks in which AVE vertices join on one arc and positional vertices
     on all of theirs.  The game is stopping exactly when it is empty.
+    Kept on the game after its first check, as game.structure is.
     """
-    need = [1 if k is VertexKind.AVE else len(out) for k, out in zip(game.kinds, game.succs)]
-    escapes = attractor(game.succs, need, game.sink_vertices)
-    witness = frozenset(v for v in range(game.n) if escapes[v] is None)
-    return StoppingReport(not witness, witness)
+    report = game.__dict__.get("_stopping")
+    if report is None:
+        need = [1 if k is VertexKind.AVE else len(out) for k, out in zip(game.kinds, game.succs)]
+        escapes = attractor(game.succs, need, game.sink_vertices)
+        witness = frozenset(v for v in range(game.n) if escapes[v] is None)
+        report = game.__dict__["_stopping"] = StoppingReport(not witness, witness)
+    return report
 
 
 def require_stopping(game: Game) -> None:

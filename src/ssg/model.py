@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Sequence, Union
 
-from .errors import InvalidGameError, InvalidStrategyError
+from .errors import InvalidGameError, InvalidStrategyError, PreconditionError
 
 RationalLike = Union[Fraction, int, str]
 
@@ -272,13 +272,32 @@ def check_strategy(game: Game, strategy: Strategy) -> None:
             )
 
 
+def _parts(value: Sequence, vertices: Sequence[int]) -> list[tuple[int, int]]:
+    """(numerator, denominator) of each vertex's value, which must be an int or a Fraction."""
+    try:
+        return [(x.numerator, x.denominator) for x in map(value.__getitem__, vertices)]
+    except AttributeError:
+        v = next(v for v in vertices if not isinstance(value[v], (int, Fraction)))
+        raise PreconditionError(f"vertex {v}: {value[v]!r} is not an int or a Fraction") from None
+
+
 def argbest(kind: VertexKind, succs: Sequence[int], value: Sequence[Fraction]) -> int:
     """The successor a MAX vertex (or, for any other kind, a MIN vertex)
-    picks under the given values; ties go to the smallest id.
+    picks under the given int or Fraction values, compared on their
+    integers; ties go to the smallest id.
     """
-    pick = max if kind is VertexKind.MAX else min
-    best = pick(value[s] for s in succs)
-    return min(s for s in succs if value[s] == best)
+    sign = 1 if kind is VertexKind.MAX else -1
+    best, top, bottom = -1, 0, 1
+    try:
+        for s in succs:
+            num, den = sign * value[s].numerator, value[s].denominator
+            gap = num * bottom - top * den
+            if gap > 0 or best < 0 or (not gap and s < best):
+                best, top, bottom = s, num, den
+    except AttributeError:
+        _parts(value, succs)  # raises unless every value is an int or a Fraction
+        raise
+    return best
 
 
 def vertex_to_sink(game: Game, vertex: int, value: RationalLike) -> Game:

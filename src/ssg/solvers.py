@@ -79,13 +79,12 @@ def solve_by_scc(game: Game, component_solver) -> ValueVector:
     return require_local_optimality(game, values)
 
 
-def _require_one_cycle_component(game: Game) -> None:
+def _require_one_cycle_component(game: Game, report: StructureReport) -> None:
     """The preconditions shared by the strongly connected solvers.
 
     Every non-sink vertex must belong to a single cyclic component
-    (frontier sinks aside).
+    (frontier sinks aside), as the game's report tells.
     """
-    report = game.structure
     on_cycles = {v for v, targets in enumerate(report.cycle_succs) if targets}
     nonsinks = {v for v, kind in enumerate(game.kinds) if kind is not VertexKind.SINK}
     if nonsinks != on_cycles:
@@ -104,7 +103,7 @@ def solve_max_acyclic_scc(game: Game) -> ValueVector:
     the all-open start provably needs at most one improvement step per
     MAX vertex; that bound is asserted.
     """
-    _require_one_cycle_component(game)
+    _require_one_cycle_component(game, game.structure)
     if not game.structure.is_max_acyclic:
         raise PreconditionError("a MAX vertex has two outgoing cycle arcs")
     merged = merge_sink_neighbors(game)
@@ -172,7 +171,7 @@ def closed_values(game: Game, report: StructureReport) -> ValueVector:
     """
     if report.k_p:
         raise PreconditionError("positional fork vertices present")
-    _require_one_cycle_component(game)
+    _require_one_cycle_component(game, report)
     chosen = {}
     for v, kind in enumerate(game.kinds):
         if kind is VertexKind.SINK or v in report.fork_average:

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from fractions import Fraction
 
 from ssg.dichotomy import stern_brocot, value_denominator_bound
 from ssg.errors import InternalInvariantError
-from ssg.evaluation import check_stopping, one_step_value
+from ssg.evaluation import OptimalityReport, Violation, check_stopping, one_step_value
 from ssg.generate import DEFAULT_PROPORTIONS, Family, GeneratorSpec, generate
 from ssg.model import Game, Player, Strategy, VertexKind, vertex_to_sink
 from ssg.structure import is_feedback_set
@@ -234,3 +235,50 @@ def brute_feedback_vertex_set(game: Game, k_max: int | None = None):
             if is_feedback_set(game, combo):
                 return combo
     return None
+
+
+# Fraction-operator references for the integer comparisons of model and
+# evaluation: the package compares exact values on their numerators and
+# denominators, and these compare them through Fraction's own operators.
+
+
+def ref_argbest(kind, succs, value):
+    """The best successor by Python's max/min; ties to the smallest id."""
+    pick = max if kind is VertexKind.MAX else min
+    best = pick(value[s] for s in succs)
+    return min(s for s in succs if value[s] == best)
+
+
+def ref_one_step_value(game: Game, w, v: int) -> Fraction:
+    """The one-step value by Fraction arithmetic."""
+    kind = game.kinds[v]
+    if kind is VertexKind.SINK:
+        return game.sink_value(v)
+    if kind is VertexKind.AVE:
+        s1, s2 = game.succs[v]
+        return Fraction(1, 2) * (w[s1] + w[s2])
+    if kind is VertexKind.MAX:
+        return max(w[s] for s in game.succs[v])
+    return min(w[s] for s in game.succs[v])
+
+
+def ref_check_local_optimality(game: Game, w) -> OptimalityReport:
+    """Every vertex's entry against ref_one_step_value, by Fraction ==."""
+    violations = []
+    for v in range(game.n):
+        expected = ref_one_step_value(game, w, v)
+        if w[v] != expected:
+            violations.append(Violation(v, expected, w[v]))
+    return OptimalityReport(not violations, tuple(violations))
+
+
+def ref_switchable(game: Game, strategy: Strategy, values):
+    """Owned vertices whose best successor beats their choice, by Fraction <, >."""
+    kind = strategy.owner.kind
+    pick, better = (max, operator.gt) if kind is VertexKind.MAX else (min, operator.lt)
+    found = []
+    for v in game.owned_vertices(strategy.owner):
+        succs = game.succs[v]
+        if better(pick(values[s] for s in succs), values[strategy[v]]):
+            found.append((v, ref_argbest(kind, succs, values)))
+    return tuple(found)

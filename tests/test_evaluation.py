@@ -7,11 +7,21 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import all_pairs, dense_evaluate, dense_solve, game_stream, random_pair
+from helpers import (
+    all_pairs,
+    dense_evaluate,
+    dense_solve,
+    game_stream,
+    random_pair,
+    ref_argbest,
+    ref_check_local_optimality,
+    ref_one_step_value,
+    ref_switchable,
+)
 import random
 
 from ssg import evaluation
-from ssg.cli import run_algorithm
+from ssg.cli import SOLVERS, run_algorithm
 from ssg.dichotomy import make_stopping, value_denominator_bound
 from ssg.errors import InternalInvariantError, InvalidStrategyError, PreconditionError
 from ssg.evaluation import (
@@ -24,10 +34,11 @@ from ssg.evaluation import (
     greedy_strategies,
     one_step_value,
     solve_linear_system,
+    switchable,
 )
 from ssg.generate import Family, GeneratorSpec, generate
 from ssg.iteration import hoffman_karp
-from ssg.model import Player, Strategy, game_of
+from ssg.model import Player, Strategy, VertexKind, argbest, game_of
 from ssg.oracle import enumerate_strategies, oracle_solve
 
 
@@ -613,3 +624,134 @@ def test_fork_system_stays_within_the_fork_count(monkeypatch):
     assert max(len(rows) for _, rows in heavy) > 3
     assert max(len(row) for _, rows in heavy for row in rows) <= 3
     assert 0 < sum(len(rows) for _, rows in heavy) < sum(forks for forks, _ in heavy)
+
+
+# --- integer comparisons -------------------------------------------------
+
+
+def _probe_vectors(game, answer, rng):
+    """The answer, then vectors near it that break or tie its equations:
+    one entry moved by +-1/(2 den), two sink entries swapped, all-equal
+    vectors, and integral entries as ints or the whole vector as a dict."""
+    yield answer
+    for v in rng.sample(range(game.n), min(game.n, 4)):
+        for step in (1, -1):
+            moved = list(answer)
+            moved[v] += Fraction(step, 2 * answer[v].denominator)
+            yield tuple(moved)
+    sinks = game.sink_vertices
+    if len(sinks) > 1:
+        a, b = rng.sample(sinks, 2)
+        swapped = list(answer)
+        swapped[a], swapped[b] = answer[b], answer[a]
+        yield tuple(swapped)
+    for tie in (0, 1, Fraction(1, 3), answer[rng.randrange(game.n)]):
+        yield (tie,) * game.n
+    yield tuple(int(x) if x.denominator == 1 else x for x in answer)
+    yield {v: answer[v] for v in reversed(range(game.n))}
+
+
+def _integer_comparison_corpus():
+    ave_heavy = (0.15, 0.15, 0.6, 0.1)
+    return (
+        game_stream(25, max_n=9, seed=83, stopping=True, proportions=ave_heavy)
+        + game_stream(15, max_n=9, seed=89, stopping=False, proportions=ave_heavy)
+        + game_stream(15, family=Family.MAX_ACYCLIC, max_n=9, seed=97)
+        + game_stream(15, family=Family.DAG_PLUS_K, min_n=8, max_n=12, seed=101, k=2)
+    )
+
+
+def test_integer_comparisons_match_the_fraction_operators():
+    # every solver's answer, and vectors near it, read the same through
+    # the integer comparisons as through Fraction's own operators
+    vectors = violated = tied = 0
+    for g in _integer_comparison_corpus():
+        rng = random.Random(g.n * 7919 + len(g.ave_vertices))
+        answers = []
+        for name in SOLVERS:
+            try:
+                answers.append(run_algorithm(g, name).values)
+            except PreconditionError:
+                continue
+        assert answers, "every game has an answer from some solver"
+        positional = g.max_vertices + g.min_vertices
+        strategies = [
+            Strategy(owner, {v: rng.choice(g.succs[v]) for v in g.owned_vertices(owner)})
+            for owner in (Player.MAX, Player.MIN)
+        ]
+        for answer in answers:
+            for w in _probe_vectors(g, answer, rng):
+                vectors += 1
+                report = check_local_optimality(g, w)
+                assert report == ref_check_local_optimality(g, w)
+                violated += not report.satisfied
+                for v in range(g.n):
+                    assert one_step_value(g, w, v) == ref_one_step_value(g, w, v)
+                for v in positional:
+                    kind, succs = g.kinds[v], g.succs[v]
+                    tied += len({w[s] for s in succs}) < len(set(succs))
+                    assert argbest(kind, succs, w) == ref_argbest(kind, succs, w)
+                for strategy in strategies:
+                    assert switchable(g, strategy, w) == ref_switchable(g, strategy, w)
+    assert vectors > 4000 and vectors - violated > 1000 and violated > 3000 and tied > 3000
+
+
+def test_check_local_optimality_builds_values_only_where_it_fails(monkeypatch):
+    g = generate(GeneratorSpec(n=240, family=Family.ACYCLIC, seed=3))
+    answer = run_algorithm(g, "acyclic").values
+    calls = []
+
+    def counting(game, w, v):
+        calls.append(v)
+        return one_step_value(game, w, v)
+
+    monkeypatch.setattr(evaluation, "one_step_value", counting)
+    assert check_local_optimality(g, answer).satisfied
+    assert calls == []
+    broken = list(answer)
+    for v in (g.n // 4, g.n // 2, 3 * g.n // 4):
+        broken[v] += Fraction(1, 3)
+    report = check_local_optimality(g, tuple(broken))
+    assert len(report.violations) >= 3
+    assert calls == [bad.vertex for bad in report.violations]
+
+
+@pytest.mark.parametrize("indexed", [tuple, lambda w: dict(enumerate(w))], ids=["tuple", "dict"])
+def test_values_that_are_not_exact_are_refused_naming_the_vertex(indexed):
+    # 0.5 == HALF * (0 + 1), so a float here would pass a Fraction check
+    g = game_of([("ave", 1, 2), ("max", 3, 4), ("sink", 0), ("sink", 0), ("sink", 1)])
+    w = indexed([0.5, Fraction(1), Fraction(0), Fraction(0), Fraction(1)])
+    with pytest.raises(PreconditionError, match=r"vertex 0: 0\.5 is not an int or a Fraction"):
+        check_local_optimality(g, w)
+    with pytest.raises(PreconditionError, match="vertex 0: 0.5"):
+        greedy_strategies(g, w)
+    w = indexed([Fraction(1, 2), Fraction(1), Fraction(0), 0.0, Fraction(1)])
+    with pytest.raises(PreconditionError, match="vertex 3: 0.0"):
+        check_local_optimality(g, w)
+    with pytest.raises(PreconditionError, match="vertex 3: 0.0"):
+        argbest(VertexKind.MAX, g.succs[1], w)
+    with pytest.raises(PreconditionError, match="vertex 3: 0.0"):
+        one_step_value(g, w, 1)
+    with pytest.raises(PreconditionError, match="vertex 3: 0.0"):
+        switchable(g, Strategy(Player.MAX, {1: 4}), w)
+    w = indexed([Fraction(1, 2), Fraction(1), "0", Fraction(0), Fraction(1)])
+    with pytest.raises(PreconditionError, match="vertex 2: '0'"):
+        one_step_value(g, w, 0)
+
+
+def test_check_stopping_runs_once_per_game(monkeypatch):
+    fixpoints = []
+    original = evaluation.attractor
+
+    def counting(arcs, need, seeds):
+        fixpoints.append(len(arcs))
+        return original(arcs, need, seeds)
+
+    monkeypatch.setattr(evaluation, "attractor", counting)
+    g = game_of([("max", 2, 1), ("min", 3, 0), ("sink", 1), ("sink", 0)])
+    first = check_stopping(g)
+    assert check_stopping(g) is first
+    assert not first.stopping and fixpoints == [4]
+    # an equal game built apart keeps its own report
+    copy = g.replace()
+    assert check_stopping(copy) == first and fixpoints == [4, 4]

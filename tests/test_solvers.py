@@ -198,6 +198,20 @@ def test_closed_values_two_ave_cycle():
     assert values[1] == F(2, 3)
 
 
+def test_closed_values_reads_only_the_report_it_is_given(monkeypatch):
+    calls = []
+    analyze = structure.analyze
+
+    def counting(game):
+        calls.append(game)
+        return analyze(game)
+
+    monkeypatch.setattr(structure, "analyze", counting)
+    g = two_ave_cycle()
+    assert closed_values(g, structure.analyze(g)) == (F(1, 3), F(2, 3), F(0), F(1))
+    assert calls == [g]
+
+
 def test_closed_values_fork_system():
     g = ave_fork_triangle()
     values = closed_values(g, analyze(g))
