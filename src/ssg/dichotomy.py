@@ -96,6 +96,7 @@ def _dichotomy_core(
     subsolver: Subsolver,
     below: ValueVector | None = None,
     above: ValueVector | None = None,
+    certify: bool = False,
 ) -> ValueVector:
     """Values of game, bisecting on xs[0] with xs[1:] frozen one level down.
 
@@ -114,7 +115,9 @@ def _dichotomy_core(
     The step solves nothing, so no level makes more trials than plain
     bisection from [0, 1] on the same game.  A leaf certifies its
     subsolver's values, since a step that reads strategies off wrong
-    values can still evaluate them honestly.
+    values can still evaluate them honestly.  With certify, the answer
+    is certified on game once: a step's answer was checked there
+    already, and any other is checked on the way out.
     """
     if not xs:
         return require_local_optimality(game, subsolver(game))
@@ -153,7 +156,7 @@ def _dichotomy_core(
         else:
             values, fm = solve_at(trial)
             if fm == trial:
-                return values
+                return require_local_optimality(game, values) if certify else values
             chosen = {v: argbest(game.kinds[v], game.succs[v], values) for v in positional}
             u = chain_values(game, chosen)
             if check_local_optimality(game, u).satisfied:
@@ -168,7 +171,7 @@ def _dichotomy_core(
         raise InternalInvariantError(
             f"no fixed point at the candidate {candidate} in [{floor}, {ceiling}]"
         )
-    return values
+    return require_local_optimality(game, values) if certify else values
 
 
 def stern_brocot(lo: RationalLike, hi: RationalLike, max_denominator: int) -> Fraction:
@@ -226,10 +229,10 @@ def solve_feedback(
     values and ends if the result is locally optimal; a failed step
     solves nothing.  Every subsolve is certified
     (evaluation.require_local_optimality) before a step reads
-    strategies off it, and so is the final answer: on a stopping game
-    local optimality pins the values.  Refuses, before any subsolve,
-    vertices that are not playable, sets that leave a cycle uncovered
-    and games that are not stopping.
+    strategies off it, and so is the final answer, once, on this game:
+    on a stopping game local optimality pins the values.  Refuses,
+    before any subsolve, vertices that are not playable, sets that
+    leave a cycle uncovered and games that are not stopping.
     """
     xs = sorted(set(feedback))
     for x in xs:
@@ -238,7 +241,7 @@ def solve_feedback(
     if not is_feedback_set(game, xs):
         raise PreconditionError("a cycle avoids the proposed feedback set")
     require_stopping(game)
-    return require_local_optimality(game, _dichotomy_core(game, xs, subsolver))
+    return _dichotomy_core(game, xs, subsolver, certify=True)
 
 
 def make_stopping(game: Game, m: int | None = None) -> Game:

@@ -337,12 +337,15 @@ def chain_values(game: Game, chosen: Mapping[int, int]) -> ValueVector:
     values: dict[Form, Fraction] = {(0, 0, 0, None): ZERO}
     for v in game.sink_vertices:
         values[forms[v]] = sinks[v]
-    for form in set(forms):
-        if form not in values:
+    out = []
+    for form in forms:
+        x = values.get(form)
+        if x is None:
             c, a, k, g = form
             m, d = bases[g]
-            values[form] = Fraction(c * d + a * m, (q * d) << k)
-    return tuple([values[form] for form in forms])
+            x = values[form] = Fraction(c * d + a * m, (q * d) << k)
+        out.append(x)
+    return tuple(out)
 
 
 def evaluate(game: Game, sigma: Strategy, tau: Strategy) -> ValueVector:
@@ -364,6 +367,9 @@ class Violation:
 class OptimalityReport:
     satisfied: bool
     violations: tuple[Violation, ...]
+
+
+_SATISFIED = OptimalityReport(True, ())
 
 
 def one_step_value(game: Game, w: ValueVector, v: int) -> Fraction:
@@ -410,8 +416,10 @@ def check_local_optimality(game: Game, w: ValueVector) -> OptimalityReport:
             ok = parts[argbest(kind, succs[v], w)] == (num, den)
         if not ok:
             bad.append(v)
-    violations = tuple([Violation(v, one_step_value(game, w, v), w[v]) for v in bad])
-    return OptimalityReport(not violations, violations)
+    if not bad:
+        return _SATISFIED
+    violations = [Violation(v, one_step_value(game, w, v), w[v]) for v in bad]
+    return OptimalityReport(False, tuple(violations))
 
 
 def greedy_strategies(game: Game, w: ValueVector) -> StrategyPair:

@@ -57,42 +57,38 @@ def solve_by_scc(game: Game, component_solver) -> ValueVector:
     Components are processed successors-first, so when a component's
     turn comes every arc leaving it points at an already-solved vertex
     and the component solver sees those values as frontier sinks of the
-    compact component game; its values map back through the id map.
-    Sinks and non-cyclic singletons are folded in directly.
+    compact component game; its values map back through the id map,
+    where only the component's own vertices are still unsolved.  Sinks
+    and non-cyclic singletons are folded in directly.
     """
-    report = game.structure
-    values: list[Fraction | None] = [None] * game.n
     solved: dict[int, Fraction] = {}
-    for comp in report.components:
+    for comp in game.structure.components:
         v = comp[0]
         if len(comp) == 1 and game.is_sink(v):
-            values[v] = game.sink_value(v)
+            solved[v] = game.sink_value(v)
         elif len(comp) == 1 and v not in game.succs[v]:
-            values[v] = one_step_value(game, values, v)
+            solved[v] = one_step_value(game, solved, v)
         else:
             sub, ids = component_game(game, comp, solved)
-            sub_values = dict(zip(ids, component_solver(sub)))
-            for u in comp:
-                values[u] = sub_values[u]
-        for u in comp:
-            solved[u] = values[u]
-    return require_local_optimality(game, values)
+            for u, x in zip(ids, component_solver(sub)):
+                solved.setdefault(u, x)
+    return require_local_optimality(game, [solved[v] for v in range(game.n)])
 
 
 def _require_one_cycle_component(game: Game, report: StructureReport) -> None:
     """The preconditions shared by the strongly connected solvers.
 
     Every non-sink vertex must belong to a single cyclic component
-    (frontier sinks aside), as the game's report tells.
+    (frontier sinks aside), as the game's report tells: the cyclic
+    components and the sinks hold every vertex, and there is at most
+    one cyclic component.
     """
-    on_cycles = {v for v, targets in enumerate(report.cycle_succs) if targets}
-    nonsinks = {v for v, kind in enumerate(game.kinds) if kind is not VertexKind.SINK}
-    if nonsinks != on_cycles:
+    cyclic = [comp for comp in report.components if report.cycle_succs[comp[0]]]
+    if sum(map(len, cyclic)) + len(game.sink_vertices) != game.n:
         raise PreconditionError(
             "expected one strongly connected component plus sinks"
         )
-    comps = {report.component_of[v] for v in on_cycles}
-    if len(comps) > 1:
+    if len(cyclic) > 1:
         raise PreconditionError("more than one strongly connected component")
 
 
@@ -172,16 +168,16 @@ def closed_values(game: Game, report: StructureReport) -> ValueVector:
     if report.k_p:
         raise PreconditionError("positional fork vertices present")
     _require_one_cycle_component(game, report)
-    chosen = {}
+    chosen, sink, ave = {}, VertexKind.SINK, VertexKind.AVE
     for v, kind in enumerate(game.kinds):
-        if kind is VertexKind.SINK or v in report.fork_average:
+        if kind is sink or v in report.fork_average:
             continue
         targets = report.cycle_succs[v]
         if len(targets) != 1:
             raise InternalInvariantError(
                 f"vertex {v} has {len(targets)} cycle arcs in a fork-free walk"
             )
-        if kind is not VertexKind.AVE:
+        if kind is not ave:
             chosen[v] = targets[0]
     return chain_values(game, chosen)
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping
 
 from .errors import InternalInvariantError, PreconditionError
@@ -23,6 +24,7 @@ from .evaluation import attractor
 from .model import Game, VertexKind, as_fraction
 
 ZERO = Fraction(0)
+SINK = VertexKind.SINK  # bound once: an enum member lookup costs more than a global
 
 
 def strongly_connected_components(game: Game) -> list[list[int]]:
@@ -35,7 +37,7 @@ def strongly_connected_components(game: Game) -> list[list[int]]:
     into a component that appears earlier in the list.
     """
     n = game.n
-    sink = [k is VertexKind.SINK for k in game.kinds]
+    sink = [k is SINK for k in game.kinds]
 
     def arcs(v: int) -> tuple[int, ...]:
         return () if sink[v] else game.succs[v]
@@ -99,7 +101,8 @@ class StructureReport:
             into earlier ones); sinks are singletons.
         component_of: component index of each vertex.
         cycle_succs: each vertex's distinct cycle-arc targets, sorted.
-        cycle_arcs: set of (x, y) arcs lying on a sink-free cycle.
+        cycle_arcs: set of (x, y) arcs lying on a sink-free cycle, read
+            off cycle_succs on first use.
         fork_positional: positional vertices with >= 2 cycle arcs,
             mapped to their cycle-arc count (distinct targets).
         fork_average: same for AVE vertices.
@@ -110,7 +113,6 @@ class StructureReport:
     components: tuple[tuple[int, ...], ...]
     component_of: tuple[int, ...]
     cycle_succs: tuple[tuple[int, ...], ...]
-    cycle_arcs: frozenset[tuple[int, int]]
     fork_positional: Mapping[int, int]
     fork_average: Mapping[int, int]
     k_p: int
@@ -118,9 +120,13 @@ class StructureReport:
     is_max_acyclic: bool
     is_min_acyclic: bool
 
+    @cached_property
+    def cycle_arcs(self) -> frozenset[tuple[int, int]]:
+        return frozenset((v, s) for v, targets in enumerate(self.cycle_succs) for s in targets)
+
     @property
     def is_acyclic(self) -> bool:
-        return not self.cycle_arcs
+        return not any(self.cycle_succs)
 
     @property
     def is_almost_acyclic(self) -> bool:
@@ -135,7 +141,7 @@ def analyze(game: Game) -> StructureReport:
         for v in comp:
             component_of[v] = i
 
-    sink = [k is VertexKind.SINK for k in game.kinds]
+    sink = [k is SINK for k in game.kinds]
     cyclic_component = [len(c) > 1 for c in comps]
     for v in range(game.n):
         if not sink[v] and v in game.succs[v]:
@@ -154,23 +160,23 @@ def analyze(game: Game) -> StructureReport:
 
 def _report(kinds, components, component_of, cycle_succs) -> StructureReport:
     """The report whose cycle-arc targets are cycle_succs: forks, fork
-    counts, flags and cycle arcs all follow from them."""
-    fork_positional, fork_average = {}, {}
+    counts and flags follow from them in one pass over the vertices,
+    and the cycle arcs on first use."""
+    positional, average = {}, {}
     for v, targets in enumerate(cycle_succs):
-        if len(targets) >= 2:
-            forks = fork_average if kinds[v] is VertexKind.AVE else fork_positional
-            forks[v] = len(targets)
-    return StructureReport(
-        components=tuple(components),
-        component_of=tuple(component_of),
-        cycle_succs=tuple(cycle_succs),
-        cycle_arcs=frozenset((v, s) for v, targets in enumerate(cycle_succs) for s in targets),
-        fork_positional=fork_positional,
-        fork_average=fork_average,
-        k_p=sum(c - 1 for c in fork_positional.values()),
-        k_a=sum(c - 1 for c in fork_average.values()),
-        is_max_acyclic=all(kinds[v] is not VertexKind.MAX for v in fork_positional),
-        is_min_acyclic=all(kinds[v] is not VertexKind.MIN for v in fork_positional),
+        if len(targets) > 1:
+            (average if kinds[v] is VertexKind.AVE else positional)[v] = len(targets)
+    fork_kinds = [kinds[v] for v in positional]
+    return StructureReport(  # the fields in order, which is faster than by name
+        tuple(components),
+        tuple(component_of),
+        tuple(cycle_succs),
+        positional,
+        average,
+        sum(positional.values()) - len(positional),
+        sum(average.values()) - len(average),
+        VertexKind.MAX not in fork_kinds,
+        VertexKind.MIN not in fork_kinds,
     )
 
 
@@ -194,7 +200,9 @@ def component_game(
     O(component) work and cached on it, so sub.structure never runs
     analyze: the component keeps its cycle arcs (mapped to local ids,
     which keeps them sorted) and comes last, after one singleton per
-    frontier sink.
+    frontier sink.  sub.sink_vertices is cached the same way: the
+    frontier, ascending, or the component itself when it is a sink.
+    A frontier value that is already a Fraction is taken as it is.
     """
     report = game.structure
     inside = set(component)
@@ -213,20 +221,20 @@ def component_game(
             values.append(game.sink_values[v])
             cycle_succs.append(tuple([local[s] for s in report.cycle_succs[v]]))
         else:
-            kinds.append(VertexKind.SINK)
+            kinds.append(SINK)
             succs.append((i,))
-            if game.is_sink(v):
-                values.append(boundary.get(v, game.sink_value(v)))
-            else:
-                values.append(as_fraction(boundary.get(v, ZERO)))
+            x = boundary.get(v, game.sink_values[v] or ZERO)  # a sink's own value, else 0
+            values.append(x if isinstance(x, Fraction) else as_fraction(x))
             cycle_succs.append(())
-            frontier.append((i,))
+            frontier.append(i)
     sub = Game(tuple(kinds), tuple(succs), tuple(values))
-    component_of = [len(frontier)] * sub.n
-    for c, (i,) in enumerate(frontier):
+    component_of = [len(frontier)] * len(ids)
+    for c, i in enumerate(frontier):
         component_of[i] = c
     inner = tuple([local[v] for v in own])
-    sub.__dict__["structure"] = _report(kinds, frontier + [inner], component_of, cycle_succs)
+    components = [(i,) for i in frontier] + [inner]
+    sub.__dict__["structure"] = _report(kinds, components, component_of, cycle_succs)
+    sub.__dict__["sink_vertices"] = inner if kinds[inner[0]] is SINK else tuple(frontier)
     return sub, ids
 
 

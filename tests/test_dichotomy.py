@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import game_stream, plain_bisection
+from ssg import dichotomy, evaluation
 from ssg.dichotomy import (
     dichotomy_solve,
     fixed_point_f,
@@ -345,6 +346,28 @@ def test_solve_feedback_never_solves_more_than_plain_bisection():
         plain += reference.calls
     assert len(corpus) > 50
     assert 100 * ours < plain
+
+
+def test_solve_feedback_certifies_each_answer_once(monkeypatch):
+    # a count, not a clock: an answer the top level's strategy step
+    # found was checked on the game already, and is not checked again
+    checks = []
+    check = evaluation.check_local_optimality
+
+    def recording(game, w):
+        checks.append((id(game), tuple(w)))
+        return check(game, w)
+
+    monkeypatch.setattr(evaluation, "check_local_optimality", recording)
+    monkeypatch.setattr(dichotomy, "check_local_optimality", recording)
+    corpus = game_stream(
+        30, family=Family.DAG_PLUS_K, min_n=7, max_n=12, seed=83, stopping=True, k=2
+    )
+    for g in corpus:
+        checks.clear()
+        values = solve_feedback(g, feedback_vertex_set(g))
+        assert checks.count((id(g), values)) == 1
+        assert len(set(checks)) == len(checks)
 
 
 def test_solve_feedback_matches_strategy_iteration_on_three_vertex_sets():

@@ -12,7 +12,7 @@ from ssg.errors import InternalInvariantError, NotStoppingError, PreconditionErr
 from ssg.evaluation import check_stopping, evaluate, greedy_strategies
 from ssg.generate import Family, GeneratorSpec, generate
 from ssg.iteration import hoffman_karp
-from ssg.model import VertexKind, game_of
+from ssg.model import Game, VertexKind, game_of
 from ssg.oracle import oracle_solve
 from ssg.solvers import (
     closed_values,
@@ -178,6 +178,24 @@ def test_auto_analyses_only_the_input_game(monkeypatch, blocks):
     assert sum(game.n for game in seen) == g.n
 
 
+def test_component_games_carry_their_sink_list(monkeypatch):
+    # a count, not a clock: component_game hands each component game its
+    # sink list with its report, so no component game scans its kinds
+    seen = record_analyses(monkeypatch)
+    scanned = []
+    vertices_of = Game.vertices_of
+
+    def recording_vertices_of(game, kind):
+        scanned.append((game, kind))
+        return vertices_of(game, kind)
+
+    monkeypatch.setattr(Game, "vertices_of", recording_vertices_of)
+    g = cycle_chain(100)
+    assert run_algorithm(g, "almost_acyclic").values[0] == F(1, 3)
+    assert seen == [g]
+    assert [game for game, kind in scanned if game is not g and kind is VertexKind.SINK] == []
+
+
 @pytest.mark.parametrize("seed", [71, 117, 133])
 def test_fork_recursion_analyses_each_game_once(monkeypatch, seed):
     # seed 133 opens AVE forks in nested recursions: 13 analyses of 10
@@ -310,6 +328,33 @@ def test_almost_acyclic_rejects_a_tail_off_the_cycle():
     g = game_of([("ave", 1, 3), ("ave", 0, 3), ("ave", 0, 3), ("sink", F(1, 2))])
     with pytest.raises(PreconditionError, match="one strongly connected component plus sinks"):
         solve_almost_acyclic_scc(g)
+
+
+@pytest.mark.parametrize("solver", [solve_almost_acyclic_scc, solve_max_acyclic_scc])
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        # two disjoint two-vertex cycles, each leaving into the sink
+        (
+            [("max", 1, 4), ("ave", 0, 4), ("min", 3, 4), ("ave", 2, 4), ("sink", F(1, 2))],
+            "more than one strongly connected component",
+        ),
+        # AVE 2 enters the single cycle 0 <-> 1 but lies on no cycle itself
+        (
+            [("ave", 1, 3), ("ave", 0, 3), ("ave", 0, 3), ("sink", F(1, 2))],
+            "expected one strongly connected component plus sinks",
+        ),
+        # both faults at once: the tail is named first
+        (
+            [("max", 1, 4), ("ave", 0, 4), ("min", 3, 4), ("ave", 2, 4), ("sink", F(1, 2)),
+             ("ave", 0, 4)],
+            "expected one strongly connected component plus sinks",
+        ),
+    ],
+)
+def test_one_cycle_solvers_name_what_is_not_one_component(rows, message, solver):
+    with pytest.raises(PreconditionError, match=f"^{message}$"):
+        solver(game_of(rows))
 
 
 def test_almost_acyclic_matches_oracle():

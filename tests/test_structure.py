@@ -10,7 +10,7 @@ from ssg import structure
 from ssg.cli import choose_algorithm
 from ssg.errors import InvalidGameError, PreconditionError
 from ssg.generate import DEFAULT_PROPORTIONS, Family, GeneratorSpec, generate
-from ssg.model import game_of
+from ssg.model import Game, game_of
 from ssg.structure import (
     analyze,
     component_game,
@@ -157,6 +157,11 @@ def assert_inherits_the_analysis(game, comp, boundary=None) -> bool:
     compact game from scratch; returns whether comp is cyclic."""
     sub, _ = component_game(game, comp, boundary)
     got, want = vars(sub)["structure"], analyze(sub)
+    # the sink list and the cycle arcs, which the report builds on
+    # first use, are those of a fresh game with the same fields
+    fresh = Game(sub.kinds, sub.succs, sub.sink_values)
+    assert vars(sub)["sink_vertices"] == fresh.sink_vertices, (game, comp)
+    assert got.cycle_arcs == fresh.structure.cycle_arcs, (game, comp)
     for field in (
         "cycle_succs", "cycle_arcs", "fork_positional", "fork_average",
         "k_p", "k_a", "is_max_acyclic", "is_min_acyclic",
