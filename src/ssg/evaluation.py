@@ -49,6 +49,8 @@ from .model import (
 )
 
 ZERO = Fraction(0)
+# bound once: an enum member lookup costs more than a global
+_MAX, _MIN, _AVE, _SINK = VertexKind.MAX, VertexKind.MIN, VertexKind.AVE, VertexKind.SINK
 Form = tuple[int, int, int, int | None]  # (c, a, k, base): see chain_values
 
 
@@ -376,9 +378,9 @@ def one_step_value(game: Game, w: ValueVector, v: int) -> Fraction:
     """Value the local optimality equations demand at one vertex; a new
     Fraction only at an AVE vertex, else a value of w or the game."""
     kind = game.kinds[v]
-    if kind is VertexKind.SINK:
+    if kind is _SINK:
         return game.sink_value(v)
-    if kind is VertexKind.AVE:
+    if kind is _AVE:
         s1, s2 = game.succs[v]
         a, b = w[s1], w[s2]
         try:
@@ -402,14 +404,13 @@ def check_local_optimality(game: Game, w: ValueVector) -> OptimalityReport:
     if len(w) != game.n:
         raise PreconditionError("value vector length differs from vertex count")
     parts, succs = _parts(w, range(game.n)), game.succs
-    ave, sink = VertexKind.AVE, VertexKind.SINK
     bad = []
     for v, kind in enumerate(game.kinds):
         num, den = parts[v]
-        if kind is ave:
+        if kind is _AVE:
             (n1, d1), (n2, d2) = parts[succs[v][0]], parts[succs[v][1]]
             ok = (n1 * d2 + n2 * d1) * den == 2 * num * d1 * d2
-        elif kind is sink:
+        elif kind is _SINK:
             x = game.sink_values[v]
             ok = num * x.denominator == x.numerator * den
         else:  # equal values have equal parts, both in lowest terms
@@ -439,8 +440,8 @@ def greedy_strategies(game: Game, w: ValueVector) -> StrategyPair:
             "value vector violates local optimality at "
             f"{[bad.vertex for bad in report.violations]}"
         )
-    sigma = {v: argbest(VertexKind.MAX, game.succs[v], w) for v in game.max_vertices}
-    tau = {v: argbest(VertexKind.MIN, game.succs[v], w) for v in game.min_vertices}
+    sigma = {v: argbest(_MAX, game.succs[v], w) for v in game.max_vertices}
+    tau = {v: argbest(_MIN, game.succs[v], w) for v in game.min_vertices}
     if not check_stopping(game).stopping:
         rank = _exit_ranks(game, w)
         for v in game.max_vertices:
@@ -465,9 +466,9 @@ def _exit_ranks(game: Game, w: ValueVector) -> list[int | None]:
     tied = [[s for s in out if w[s] == w[v]] for v, out in enumerate(game.succs)]
     seeds = [
         v for v, kind in enumerate(game.kinds)
-        if kind is VertexKind.SINK or (kind is VertexKind.AVE and len(tied[v]) < 2)
+        if kind is _SINK or (kind is _AVE and len(tied[v]) < 2)
     ]
-    need = [len(t) if k is VertexKind.MIN else 1 for k, t in zip(game.kinds, tied)]
+    need = [len(t) if k is _MIN else 1 for k, t in zip(game.kinds, tied)]
     return attractor(tied, need, seeds)
 
 
@@ -483,10 +484,10 @@ def _min_zero_region(game: Game, sigma: Strategy) -> frozenset[int]:
     joins only once all its arcs lead in.
     """
     arcs = [
-        (sigma[v],) if kind is VertexKind.MAX else game.succs[v]
+        (sigma[v],) if kind is _MAX else game.succs[v]
         for v, kind in enumerate(game.kinds)
     ]
-    need = [len(out) if k is VertexKind.MIN else 1 for k, out in zip(game.kinds, arcs)]
+    need = [len(out) if k is _MIN else 1 for k, out in zip(game.kinds, arcs)]
     positive = [v for v in game.sink_vertices if game.sink_value(v) > 0]
     leaks = attractor(arcs, need, positive)
     return frozenset(v for v in range(game.n) if leaks[v] is None)
@@ -613,7 +614,7 @@ def check_stopping(game: Game) -> StoppingReport:
     """
     report = game.__dict__.get("_stopping")
     if report is None:
-        need = [1 if k is VertexKind.AVE else len(out) for k, out in zip(game.kinds, game.succs)]
+        need = [1 if k is _AVE else len(out) for k, out in zip(game.kinds, game.succs)]
         escapes = attractor(game.succs, need, game.sink_vertices)
         witness = frozenset(v for v in range(game.n) if escapes[v] is None)
         report = game.__dict__["_stopping"] = StoppingReport(not witness, witness)

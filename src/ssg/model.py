@@ -41,6 +41,9 @@ class VertexKind(enum.Enum):
     SINK = "sink"
 
 
+_MAX = VertexKind.MAX  # bound once: an enum member lookup costs more than a global
+
+
 class Player(enum.Enum):
     MAX = "max"
     MIN = "min"
@@ -286,7 +289,7 @@ def argbest(kind: VertexKind, succs: Sequence[int], value: Sequence[Fraction]) -
     picks under the given int or Fraction values, compared on their
     integers; ties go to the smallest id.
     """
-    sign = 1 if kind is VertexKind.MAX else -1
+    sign = 1 if kind is _MAX else -1
     best, top, bottom = -1, 0, 1
     try:
         for s in succs:

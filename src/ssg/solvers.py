@@ -2,20 +2,22 @@
 
 Acyclic games fall to a single backward pass; strongly connected
 MAX-acyclic games to strategy iteration with a linear iteration bound.
-Every other component goes through one recursion, _fork_component:
-enumerate the cycle arcs of its positional forks, then try closed
-values and one opening pass per side, recursing on the number of AVE
-forks down to single cycles, where each pass costs at most two acyclic
-solves.  Each pass opens the escaping vertex nearest before a fork,
-and on a single cycle the smallest-id escaping vertex stands in for
-the fork.  All of them return exact rationals and certify their
-answer against the local optimality equations.
+Every other component goes through one recursion, _fork_component,
+which keeps the first locally optimal value of one candidate stream: a
+branch per cycle-arc choice of its positional forks, or else the
+closed values, then each side's openings, MAX first.  A side opens the
+escaping vertex nearest before a fork and the vertices its solution
+nominates, recursing on fewer AVE forks down to single cycles, where a
+side costs at most two acyclic solves and the smallest-id escaping
+vertex stands in for the fork.  All of them return exact rationals and
+certify their answer against the local optimality equations.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from typing import Iterator
 
 from .errors import InternalInvariantError, PreconditionError
 from .evaluation import (
@@ -113,12 +115,6 @@ def solve_max_acyclic_scc(game: Game) -> ValueVector:
     return trace.values
 
 
-def _with_succs(game: Game, v: int, succs: tuple[int, ...]) -> Game:
-    new_succs = list(game.succs)
-    new_succs[v] = succs
-    return game.replace(succs=tuple(new_succs))
-
-
 def _escape(game: Game, v: int, kind: VertexKind) -> int | None:
     """The best arc out of the cycle of a `kind` vertex v, or None when
     v is of another kind or has none.  Escapes lead to sinks: real ones
@@ -130,7 +126,8 @@ def _escape(game: Game, v: int, kind: VertexKind) -> int | None:
 
 
 def _opened(game: Game, v: int, kind: VertexKind) -> Game:
-    return _with_succs(game, v, (_escape(game, v, kind),))
+    opened = (_escape(game, v, kind),)
+    return game.replace(succs=game.succs[:v] + (opened,) + game.succs[v + 1:])
 
 
 def _first_opened(
@@ -186,13 +183,10 @@ def solve_almost_acyclic_scc(game: Game) -> ValueVector:
     """Solve one strongly connected single cycle exactly.
 
     A single cycle is the base case of the fork recursion,
-    _fork_component called directly: try the all-closed values, then
-    open the smallest-id escaping MAX vertex (the fork opener's rule,
-    with that vertex standing in for the missing fork), solve the
-    acyclic game that leaves, and also try the MAX vertex that solution
-    really opens first; then the same on the MIN side.  Local
-    optimality in the original game decides acceptance, and for single
-    cycles one of these steps always lands.
+    _fork_component called directly: the closed values, then per side
+    the smallest-id escaping vertex opened (standing in for the missing
+    fork) and the vertex its acyclic solution really opens first.  For
+    single cycles one of these candidates always lands.
     """
     if game.structure.k_p or game.structure.k_a:
         raise PreconditionError("component is not a single cycle")
@@ -205,48 +199,45 @@ def solve_fork_fpt(game: Game) -> ValueVector:
     Per strongly connected component, _fork_component enumerates the
     cycle-arc choices of positional fork vertices (2^{k_p} branches
     when binary), and within each branch recurses on the number of AVE
-    forks by opening one vertex at a time.  A candidate solution is
-    accepted when it satisfies local optimality in the component, which
-    on stopping games identifies the value vector exactly.
+    forks by opening one vertex at a time.  Local optimality in the
+    component, which on stopping games pins the values, accepts.
     """
     require_stopping(game)
     return solve_by_scc(game, _fork_component)
 
 
 def _fork_component(cgame: Game) -> ValueVector:
-    """One strongly connected component of the fork recursion.
+    """The first locally optimal value that _fork_candidates yields.
 
-    With positional forks, each choice of one cycle arc per fork is
-    solved through solve_by_scc, and the first branch that is locally
-    optimal in this component wins.  Without them, try the all-closed
-    values; then for each side in turn, open the nearest escaping
-    vertex strictly before a fork, solve the smaller game, and use its
-    solution to nominate the few vertices that could be the truly
-    optimal opening (the first opened vertices downstream of each
-    fork).  An opening replaces one vertex's arcs by a single escape,
-    so it adds no positional fork, and each solve recurses through
-    solve_by_scc on strictly fewer AVE forks, which bounds the depth by
-    k_a plus one; an opened game that keeps k_a raises
-    InternalInvariantError.  With no fork the component is a single
-    cycle and each opened game is a DAG.
+    What a component may cost:
+    - fork-free: one closed_values call and at most two solve_acyclic
+      calls per side, the opener and one nominee;
+    - with AVE forks: per side, the opener plus at most one nominee per
+      cycle arc out of each fork, each a recursive solve on fewer AVE
+      forks, so the depth is at most k_a plus one;
+    - with positional forks: one branch per choice of cycle arcs.
     """
+    for w in _fork_candidates(cgame):
+        if check_local_optimality(cgame, w).satisfied:
+            return w
+    what = "positional fork resolution" if cgame.structure.k_p else "opening"
+    raise InternalInvariantError(f"no {what} was optimal")
+
+
+def _fork_candidates(cgame: Game) -> Iterator[ValueVector]:
+    """A component's candidates in the order tried: a branch per choice
+    of positional-fork cycle arcs, else closed values, then openings."""
     report = cgame.structure
     forks = sorted(report.fork_positional)
     if forks:
         pools = [report.cycle_succs[v] for v in forks]
         for combo in itertools.product(*pools):
-            sub = cgame
-            for v, keep in zip(forks, combo):
-                cycle = report.cycle_succs[v]
-                kept = tuple([s for s in sub.succs[v] if s not in cycle or s == keep])
-                sub = _with_succs(sub, v, kept)
-            w = solve_by_scc(sub, _fork_component)
-            if check_local_optimality(cgame, w).satisfied:
-                return w
-        raise InternalInvariantError("no positional fork resolution was optimal")
-    w = closed_values(cgame, report)
-    if check_local_optimality(cgame, w).satisfied:
-        return w
+            succs = list(cgame.succs)
+            for v, cycle, keep in zip(forks, pools, combo):
+                succs[v] = tuple([s for s in succs[v] if s not in cycle or s == keep])
+            yield solve_by_scc(cgame.replace(succs=tuple(succs)), _fork_component)
+        return
+    yield closed_values(cgame, report)
     for kind in (VertexKind.MAX, VertexKind.MIN):
         if kind is VertexKind.MIN and not check_stopping(cgame).stopping:
             # play can stay inside forever, so closed MIN choices cost
@@ -254,31 +245,33 @@ def _fork_component(cgame: Game) -> ValueVector:
             raise InternalInvariantError(
                 "MAX side failed on a component that play never has to leave"
             )
-        found = _fork_opening_pass(cgame, kind)
-        if found is not None:
-            return found
-    raise InternalInvariantError("no opening was optimal")
+        yield from _fork_openings(cgame, kind)
 
 
-def _fork_opening_pass(cgame: Game, kind: VertexKind) -> ValueVector | None:
+def _fork_openings(cgame: Game, kind: VertexKind) -> Iterator[ValueVector]:
+    """One side's openings: the opener, then each vertex its solution
+    nominates, the first it opens downstream of each fork.  The opener
+    is the escaping `kind` vertex of least (round, id) in a fork's
+    attractor over the other vertices' cycle arcs, from the first fork
+    whose attractor holds one; the smallest-id escaping vertex stands in
+    for a missing fork.  An opening replaces one vertex's arcs by a
+    single escape, so it adds no positional fork, and each solve
+    recurses on strictly fewer AVE forks; an opened game that keeps k_a
+    raises InternalInvariantError.  Fork-free, each opened game is a DAG.
+    """
     report = cgame.structure
     escaping = [v for v in range(cgame.n) if _escape(cgame, v, kind) is not None]
-    # the smallest-id escaping vertex stands in for a missing fork; the
-    # opener is the escaping vertex of least (round, id) in a fork's
-    # attractor over the other vertices' cycle arcs, from the first
-    # fork whose attractor holds one
     forks = sorted(report.fork_average) or escaping[:1]
     fork_set = set(forks)
     arcs = [() if v in fork_set else a for v, a in enumerate(report.cycle_succs)]
-    opener = None
     for f in forks:
         rounds = attractor(arcs, [1] * cgame.n, [f])
         near = [(rounds[v], v) for v in escaping if rounds[v] is not None]
         if near:
-            opener = min(near)[1]
             break
-    if opener is None:
-        return None
+    else:
+        return
+    opener = min(near)[1]
 
     def solve(sub: Game) -> ValueVector:
         if report.k_a == 0:
@@ -291,18 +284,11 @@ def _fork_opening_pass(cgame: Game, kind: VertexKind) -> ValueVector | None:
 
     sub1 = _opened(cgame, opener, kind)
     w1 = solve(sub1)
-    if check_local_optimality(cgame, w1).satisfied:
-        return w1
-
-    # next, the first vertex downstream of each fork that w1 opens
+    yield w1
     tried = {opener}
     for f in forks:
         for start in report.cycle_succs[f]:
             c = _first_opened(sub1, report, kind, w1, start, fork_set)
-            if c is None or c in tried:
-                continue
-            tried.add(c)
-            w = solve(_opened(cgame, c, kind))
-            if check_local_optimality(cgame, w).satisfied:
-                return w
-    return None
+            if c is not None and c not in tried:
+                tried.add(c)
+                yield solve(_opened(cgame, c, kind))

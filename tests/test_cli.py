@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from helpers import game_stream
-from ssg import cli, evaluation
+from ssg import cli, evaluation, structure
 from ssg.cli import choose_algorithm, main, run_algorithm
 from ssg.errors import InternalInvariantError, NotStoppingError, PreconditionError
 from ssg.gamefile import parse, serialize
@@ -81,6 +81,30 @@ def test_auto_feedback_pick_stays_within_its_subsolve_count():
     assert report.algorithm == "feedback"
     assert report.subsolver_calls <= 20
     assert report.values == hoffman_karp(g).values
+
+
+def test_auto_feedback_pick_searches_for_its_cover_once(monkeypatch):
+    # a count, not a clock: choose_algorithm's capped search and the
+    # feedback row's uncapped one find the same cover, so the game keeps
+    # it; one uncapped search on this game makes 24 _coverable calls
+    spec = GeneratorSpec(n=23, family=Family.RANDOM, seed=4, proportions=(0.15, 0.15, 0.6, 0.1))
+    calls = []
+    coverable = structure._coverable
+
+    def counting(*args):
+        calls.append(args)
+        return coverable(*args)
+
+    monkeypatch.setattr(structure, "_coverable", counting)
+    g = generate(spec)
+    assert run_algorithm(g, "auto").algorithm == "feedback"
+    assert len(calls) == 24
+    assert structure.feedback_vertex_set(g) == (1, 5, 7)
+    assert structure.feedback_vertex_set(g, 2) is None
+    assert len(calls) == 24
+    calls.clear()
+    assert structure.feedback_vertex_set(generate(spec)) == (1, 5, 7)
+    assert len(calls) == 24
 
 
 def stopping_choice_game():

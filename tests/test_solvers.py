@@ -510,6 +510,79 @@ def test_fork_recursion_stays_within_its_counted_solves(monkeypatch):
     assert calls == {"closed": 355, "acyclic": 82}
 
 
+def nominee_ladder(n: int, spots: int = 12) -> Game:
+    """An n-cycle with `spots` escaping MAX vertices and an AVE leak to
+    the 0-sink between each two; only the last MAX escape reaches the
+    1-sink, so the opener (vertex 0) is wrong and its solution nominates
+    the last one, past ten escapes that would lose."""
+    every, rows = n // spots, []
+    for v in range(n):
+        onward = (v + 1) % n
+        if v % every == 0:
+            rows.append(("max", onward, n + (v // every == spots - 1)))
+        elif v % every == every // 2:
+            rows.append(("ave", onward, n))
+        else:
+            rows.append(("max", onward))
+    return game_of(rows + [("sink", 0), ("sink", 1)])
+
+
+def test_a_fork_free_component_stays_within_its_stated_solves(monkeypatch):
+    # a count, not a clock: _fork_component's docstring allows a
+    # fork-free component one closed_values call and at most two
+    # solve_acyclic calls per side; trying every escaping vertex in
+    # place of the nominees breaks that bound on this corpus
+    calls = {"closed": 0, "acyclic": 0}
+    per_component = []
+
+    def counting(name, solver):
+        def counted(*args):
+            calls[name] += 1
+            return solver(*args)
+        return counted
+
+    fork_component = solvers._fork_component
+
+    def recording(cgame):
+        before = dict(calls)
+        w = fork_component(cgame)
+        if not (cgame.structure.k_p or cgame.structure.k_a):
+            per_component.append(tuple(calls[k] - before[k] for k in ("closed", "acyclic")))
+        return w
+
+    monkeypatch.setattr(solvers, "closed_values", counting("closed", solvers.closed_values))
+    monkeypatch.setattr(solvers, "solve_acyclic", counting("acyclic", solvers.solve_acyclic))
+    monkeypatch.setattr(solvers, "_fork_component", recording)
+    ran = {"single_cycles": {True: 0, False: 0}, "fork_fpt": 0}
+    for seed in range(60):
+        for n in range(12, 41, 7):
+            for spec in (
+                GeneratorSpec(n=n, family=Family.SINGLE_CYCLE, seed=seed),
+                GeneratorSpec(n=n, family=Family.RANDOM, seed=seed),
+                GeneratorSpec(
+                    n=n, family=Family.RANDOM, seed=seed, proportions=(0.25, 0.25, 0.4, 0.1)
+                ),
+                GeneratorSpec(n=n, family=Family.DAG_PLUS_K, seed=seed, k=1 + seed % 3),
+            ):
+                g = generate(spec)
+                report, stopping = g.structure, check_stopping(g).stopping
+                if report.is_acyclic:
+                    continue
+                if report.k_p == report.k_a == 0:
+                    solve_by_scc(g, solve_almost_acyclic_scc)
+                    ran["single_cycles"][stopping] += 1
+                elif stopping and report.k_p + report.k_a <= 10:
+                    solve_fork_fpt(g)
+                    ran["fork_fpt"] += 1
+    assert all(closed == 1 and acyclic <= 4 for closed, acyclic in per_component)
+    assert ran == {"single_cycles": {True: 518, False: 42}, "fork_fpt": 97}
+    assert len(per_component) == 1098
+    assert sum(acyclic >= 2 for _, acyclic in per_component) == 150
+    per_component.clear()
+    assert solve_by_scc(nominee_ladder(10**4), solve_almost_acyclic_scc)[0] > 0
+    assert per_component == [(1, 2)]
+
+
 def test_fork_recursion_refuses_an_opening_that_keeps_its_forks(monkeypatch):
     # with openings that open nothing, every opened game keeps the
     # component's average fork weight, so the recursion must stop there
