@@ -50,18 +50,6 @@ class RunReport:
     seconds: float
 
 
-class _Counting:
-    """Wraps a solver and counts how many times it runs."""
-
-    def __init__(self, solver):
-        self.solver = solver
-        self.calls = 0
-
-    def __call__(self, game: Game) -> ValueVector:
-        self.calls += 1
-        return self.solver(game)
-
-
 def choose_algorithm(game: Game) -> str:
     """The AUTO dispatch order, cheapest structure first."""
     report = game.structure
@@ -90,9 +78,15 @@ def _bisection(game: Game, k_max: int | None):
     cover = feedback_vertex_set(game, k_max)
     if cover is None:
         raise PreconditionError(f"no feedback vertex set of size <= {k_max}")
-    counter = _Counting(solve_acyclic)
-    values = solve_feedback(game, cover, counter)
-    return values, None, counter.calls
+    calls = 0
+
+    def counted(sub: Game) -> ValueVector:
+        nonlocal calls
+        calls += 1
+        return solve_acyclic(sub)
+
+    values = solve_feedback(game, cover, counted)
+    return values, None, calls
 
 
 # Name -> solver returning (values, iterations, subsolver calls).  Entries

@@ -96,7 +96,6 @@ def _dichotomy_core(
     subsolver: Subsolver,
     below: ValueVector | None = None,
     above: ValueVector | None = None,
-    certify: bool = False,
 ) -> ValueVector:
     """Values of game, bisecting on xs[0] with xs[1:] frozen one level down.
 
@@ -113,11 +112,11 @@ def _dichotomy_core(
     it is the value vector, since the game is stopping, and the level
     returns it; otherwise bisection goes on as if the step had not run.
     The step solves nothing, so no level makes more trials than plain
-    bisection from [0, 1] on the same game.  A leaf certifies its
-    subsolver's values, since a step that reads strategies off wrong
-    values can still evaluate them honestly.  With certify, the answer
-    is certified on game once: a step's answer was checked there
-    already, and any other is checked on the way out.
+    bisection from [0, 1] on the same game.  Every level certifies its
+    answer on its own game once: a leaf its subsolver's values, since a
+    step that reads strategies off wrong values can still evaluate them
+    honestly, and any other level its fixed point or candidate on the
+    way out; a step's answer was just checked there.
     """
     if not xs:
         return require_local_optimality(game, subsolver(game))
@@ -156,7 +155,7 @@ def _dichotomy_core(
         else:
             values, fm = solve_at(trial)
             if fm == trial:
-                return require_local_optimality(game, values) if certify else values
+                return require_local_optimality(game, values)
             chosen = {v: argbest(game.kinds[v], game.succs[v], values) for v in positional}
             u = chain_values(game, chosen)
             if check_local_optimality(game, u).satisfied:
@@ -171,7 +170,7 @@ def _dichotomy_core(
         raise InternalInvariantError(
             f"no fixed point at the candidate {candidate} in [{floor}, {ceiling}]"
         )
-    return require_local_optimality(game, values) if certify else values
+    return require_local_optimality(game, values)
 
 
 def stern_brocot(lo: RationalLike, hi: RationalLike, max_denominator: int) -> Fraction:
@@ -227,12 +226,12 @@ def solve_feedback(
     every trial outside those two values.  After each trial a level
     evaluates its game under the strategy pair read off the trial's
     values and ends if the result is locally optimal; a failed step
-    solves nothing.  Every subsolve is certified
-    (evaluation.require_local_optimality) before a step reads
-    strategies off it, and so is the final answer, once, on this game:
-    on a stopping game local optimality pins the values.  Refuses,
-    before any subsolve, vertices that are not playable, sets that
-    leave a cycle uncovered and games that are not stopping.
+    solves nothing.  Every level, leaves included, certifies its answer
+    once on its own game (evaluation.require_local_optimality), a step's
+    by the check that found it: on a stopping game local optimality pins
+    the values.  Refuses, before any subsolve, vertices that are not
+    playable, sets that leave a cycle uncovered and games that are not
+    stopping.
     """
     xs = sorted(set(feedback))
     for x in xs:
@@ -241,7 +240,7 @@ def solve_feedback(
     if not is_feedback_set(game, xs):
         raise PreconditionError("a cycle avoids the proposed feedback set")
     require_stopping(game)
-    return _dichotomy_core(game, xs, subsolver, certify=True)
+    return _dichotomy_core(game, xs, subsolver)
 
 
 def make_stopping(game: Game, m: int | None = None) -> Game:

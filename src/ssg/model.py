@@ -230,8 +230,8 @@ def validate(game: Game) -> None:
     """Check the structural invariants; raise InvalidGameError if any fail.
 
     Checks: arc targets in range, MAX/MIN outdegree >= 1, AVE outdegree
-    exactly 2, sinks carry a value in [0, 1] and loop on themselves, and
-    non-sinks carry no value.
+    exactly 2, sinks carry an int or Fraction value in [0, 1] and loop on
+    themselves, and non-sinks carry no value.
     """
     n = game.n
     if not (len(game.succs) == len(game.sink_values) == n):
@@ -248,6 +248,8 @@ def validate(game: Game) -> None:
                 raise InvalidGameError(f"sink {v} must have exactly the self-loop, got {out}")
             if value is None:
                 raise InvalidGameError(f"sink {v} has no value")
+            if not isinstance(value, (int, Fraction)):
+                raise InvalidGameError(f"sink {v} value {value!r} is not an int or a Fraction")
             if not (0 <= value <= 1):
                 raise InvalidGameError(f"sink {v} value {value} outside [0, 1]")
         else:

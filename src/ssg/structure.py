@@ -254,10 +254,10 @@ def feedback_vertex_set(game: Game, k_max: int | None = None) -> tuple[int, ...]
 
     Of all smallest sets, the lexicographically first sorted tuple;
     None when every such set has more than k_max vertices.  The game
-    keeps the outcome, as check_stopping keeps its report: the cover once
-    found, or the largest cap proved too small.  Cycles lie inside
-    strongly connected components, so each cyclic component of
-    game.structure is covered on its own and the union is the answer.
+    keeps a cover once found, as check_stopping keeps its report, and a
+    failed search keeps nothing.  Cycles lie inside strongly connected
+    components, so each cyclic component of game.structure is covered
+    on its own and the union is the answer.
     Per component, a branching search finds the least size that works
     (_coverable), and the cover is then built greedily (_first_cover):
     its first vertex is the smallest one in any cover of that size, its
@@ -273,10 +273,8 @@ def feedback_vertex_set(game: Game, k_max: int | None = None) -> tuple[int, ...]
     to disjoint simple cycles (a single_cycle game) costs O(n + m).
     """
     known = game.__dict__.get("_cover")
-    if isinstance(known, tuple):
+    if known is not None:
         return known if k_max is None or len(known) <= k_max else None
-    if known is not None and k_max is not None and k_max <= known:
-        return None
     report = game.structure
     succ = report.cycle_succs
     pred: list[list[int]] = [[] for _ in range(game.n)]
@@ -290,7 +288,6 @@ def feedback_vertex_set(game: Game, k_max: int | None = None) -> tuple[int, ...]
             continue  # no cycle in this component
         size = next((b for b in range(1, left + 1) if _coverable(succ, pred, comp, b)), None)
         if size is None:
-            game.__dict__["_cover"] = k_max
             return None
         left -= size
         cover += _first_cover(succ, pred, comp, size)

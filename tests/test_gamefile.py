@@ -4,12 +4,14 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import game_stream
 from ssg.errors import InvalidGameError
 from ssg.gamefile import parse, serialize
-from ssg.generate import Family
-from ssg.model import game_of
+from ssg.generate import Family, GeneratorSpec, generate
+from ssg.model import game_of, validate
 
 
 def test_parse_minimal_game():
@@ -133,3 +135,63 @@ def test_parse_keeps_leading_zeros_and_reduces_sinks():
     g = parse("ssg 1\n00 max 01 1\n1 sink 02/04\n")
     assert g.succs[0] == (1, 1)
     assert serialize(g) == "ssg 1\n0 max 1 1\n1 sink 1/2\n"
+
+
+def _mutate(text: str, mutation: str, line: int, pick: int) -> str:
+    """The text with one of its vertex lines edited as `mutation` says."""
+    header, *rows = text.splitlines()
+    n = len(rows)
+    wants_sink = mutation.startswith("sink ")
+    if mutation in ("drop successor", "duplicate successor", "successor n", "successor n+5"):
+        eligible = [i for i, row in enumerate(rows) if row.split()[1] != "sink"]
+    elif wants_sink:
+        eligible = [i for i, row in enumerate(rows) if row.split()[1] == "sink"]
+    else:
+        eligible = list(range(n))
+    i = eligible[line % len(eligible)]
+    tokens = rows[i].split()
+    slot = 2 + pick % (len(tokens) - 2)
+    if mutation == "drop successor":
+        del tokens[slot]
+    elif mutation == "duplicate successor":
+        tokens.insert(slot, tokens[slot])
+    elif mutation == "change kind":
+        tokens[1] = ("max", "min", "ave", "sink")[pick % 4]
+    elif mutation == "change id":
+        tokens[0] = str(pick % (n + 2))
+    elif mutation == "successor n":
+        tokens[slot] = str(n)
+    elif mutation == "successor n+5":
+        tokens[slot] = str(n + 5)
+    elif wants_sink:
+        tokens[2] = mutation.removeprefix("sink ")
+    if mutation == "delete line":
+        del rows[i]
+    else:
+        rows[i] = " ".join(tokens)
+    return "\n".join([header, *rows]) + "\n"
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([Family.RANDOM, Family.SINGLE_CYCLE, Family.DAG_PLUS_K]),
+    st.integers(4, 12),
+    st.integers(0, 10**4),
+    st.sampled_from([
+        "drop successor", "duplicate successor", "change kind", "change id",
+        "successor n", "successor n+5", "sink 3/2", "sink 1/0", "sink 0/0", "sink 1/",
+        "delete line",
+    ]),
+    st.integers(0, 10**4),
+    st.integers(0, 10**4),
+)
+def test_parse_alone_yields_valid_games(family, n, seed, mutation, line, pick):
+    # parse runs no whole-game validate pass, so its line checks must
+    # refuse every text that would build a game validate rejects
+    text = serialize(generate(GeneratorSpec(n=n, family=family, seed=seed)))
+    try:
+        g = parse(_mutate(text, mutation, line, pick))
+    except InvalidGameError:
+        return
+    validate(g)
+    assert parse(serialize(g)) == g

@@ -85,7 +85,10 @@ SINK, MAX = VertexKind.SINK, VertexKind.MAX
     (Game((MAX, SINK), ((1,), (1,)), (None,)), "must have equal length"),
     (Game((MAX, SINK), ((1,), (1,)), (None, None)), "sink 1 has no value"),
     (Game((MAX, SINK), ((1,), (1,)), (Fraction(1), Fraction(1))), "non-sink 0 carries"),
-], ids=["unequal_fields", "sink_without_value", "non_sink_with_value"])
+    # the solvers read a numerator and a denominator off every sink value
+    (Game((MAX, SINK), ((1,), (1,)), (None, 0.5)), "sink 1 value 0.5 is not an int or a Fraction"),
+    (Game((MAX, SINK), ((1,), (1,)), (None, "1/2")), "sink 1 value '1/2' is not an int or a Fraction"),
+], ids=["unequal_fields", "sink_without_value", "non_sink_with_value", "float_sink", "str_sink"])
 def test_validate_rejects_inconsistent_fields(game, message):
     with pytest.raises(InvalidGameError, match=message):
         validate(game)

@@ -1,5 +1,8 @@
 """Component-based exact solvers, from acyclic games up to fork games."""
 
+import math
+import random
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -581,6 +584,134 @@ def test_a_fork_free_component_stays_within_its_stated_solves(monkeypatch):
     per_component.clear()
     assert solve_by_scc(nominee_ladder(10**4), solve_almost_acyclic_scc)[0] > 0
     assert per_component == [(1, 2)]
+
+
+def fork_ring(size: int, k: int, seed: int, positional: bool = False) -> Game:
+    """A ring of `size` vertices, each with an arc to its own sink: MAX
+    or MIN vertices at even ids and AVE leaks at odd ids.  k odd ones
+    become forks with a chord to a random ring vertex: AVE vertices that
+    give up their leak or, with positional, MAX or MIN vertices."""
+    rng = random.Random(seed)
+    chords = set(rng.sample(range(1, size, 2), k))
+    rows = []
+    for v in range(size):
+        onward, sink = (v + 1) % size, size + v
+        if v in chords:
+            chord = rng.choice([u for u in range(size) if u not in (v, onward)])
+            if positional:
+                rows.append((rng.choice(("max", "min")), onward, chord, sink))
+            else:
+                rows.append(("ave", onward, chord))
+        else:
+            rows.append(("ave" if v % 2 else rng.choice(("max", "min")), onward, sink))
+    return game_of(rows + [("sink", F(rng.randint(0, 8), 8)) for _ in range(size)])
+
+
+def fork_bound_corpus(rings: int, positional: bool):
+    """Stopping games with 0 < k_p + k_a <= 10: default and AVE-heavy
+    random and dag_plus_k k = 1-3 games, n = 12-40, seeds 0-59, then
+    fork rings of 1-`rings` forks, 20 seeds each, paired with whether
+    the test also checks them against strategy iteration."""
+    for seed in range(60):
+        for n in range(12, 41, 7):
+            for spec in [
+                GeneratorSpec(n=n, family=Family.RANDOM, seed=seed),
+                GeneratorSpec(
+                    n=n, family=Family.RANDOM, seed=seed, proportions=(0.15, 0.15, 0.6, 0.1)
+                ),
+            ] + [GeneratorSpec(n=n, family=Family.DAG_PLUS_K, seed=seed, k=k) for k in (1, 2, 3)]:
+                g = generate(spec)
+                if 0 < g.structure.k_p + g.structure.k_a <= 10 and check_stopping(g).stopping:
+                    yield g, False
+    for k in range(1, rings + 1):
+        for seed in range(20):
+            g = fork_ring(24 if positional else 40, k, seed, positional)
+            if check_stopping(g).stopping:
+                yield g, True
+
+
+@pytest.fixture
+def fork_frames(monkeypatch):
+    """One record per _fork_component call, made as it returns: its
+    game, its `_opened` calls per side, its branch solves, and the
+    depth of the _fork_component calls nested in it, itself included."""
+    frames, stack = [], []
+    fork_component, opened, by_scc = solvers._fork_component, solvers._opened, solvers.solve_by_scc
+
+    def recording(cgame):
+        frame = SimpleNamespace(game=cgame, opened=Counter(), branches=0, depth=1)
+        stack.append(frame)
+        w = fork_component(cgame)
+        stack.pop()
+        if stack:
+            stack[-1].depth = max(stack[-1].depth, frame.depth + 1)
+        frames.append(frame)
+        return w
+
+    def counting_opened(game, v, kind):
+        assert stack[-1].game is game
+        stack[-1].opened[kind] += 1
+        return opened(game, v, kind)
+
+    def counting_by_scc(game, component_solver):
+        if stack and stack[-1].game.structure.k_p:
+            stack[-1].branches += 1
+        return by_scc(game, component_solver)
+
+    monkeypatch.setattr(solvers, "_fork_component", recording)
+    monkeypatch.setattr(solvers, "_opened", counting_opened)
+    monkeypatch.setattr(solvers, "solve_by_scc", counting_by_scc)
+    return frames
+
+
+def test_an_ave_fork_component_stays_within_its_stated_openings(fork_frames):
+    # a count, not a clock: _fork_component's docstring allows a
+    # component with AVE forks, per side, the opener plus one nominee
+    # per cycle arc out of each fork, each a solve on fewer AVE forks;
+    # trying every escaping vertex in place of the nominees breaks it
+    games = checked = 0
+    for g, check in fork_bound_corpus(rings=8, positional=False):
+        w = solve_fork_fpt(g)
+        if check:
+            assert w == hoffman_karp(g).values
+        games += 1
+        checked += check
+    forking = tight = deepest = 0
+    for frame in fork_frames:
+        report = frame.game.structure
+        if report.k_p or not report.k_a:
+            continue
+        bound = 1 + sum(len(report.cycle_succs[f]) for f in report.fork_average)
+        opened = max(frame.opened.values(), default=0)
+        assert opened <= bound
+        assert frame.depth <= report.k_a + 1
+        forking += 1
+        tight += opened == bound
+        deepest += frame.depth == report.k_a + 1
+    assert (games, checked, forking, tight, deepest) == (430, 160, 663, 1, 65)
+
+
+def test_a_positional_fork_component_stays_within_its_stated_branches(fork_frames):
+    # a count, not a clock: _fork_component's docstring allows a
+    # component with positional forks one branch solve per choice of
+    # cycle arcs; branching over every arc breaks it on this corpus
+    games = checked = 0
+    for g, check in fork_bound_corpus(rings=4, positional=True):
+        w = solve_fork_fpt(g)
+        if check:
+            assert w == hoffman_karp(g).values
+        games += 1
+        checked += check
+    branching = tight = 0
+    for frame in fork_frames:
+        report = frame.game.structure
+        if not report.k_p:
+            continue
+        bound = math.prod(len(report.cycle_succs[v]) for v in report.fork_positional)
+        assert frame.branches <= bound
+        branching += 1
+        tight += frame.branches == bound
+    assert (games, checked, branching, tight) == (337, 67, 261, 35)
 
 
 def test_fork_recursion_refuses_an_opening_that_keeps_its_forks(monkeypatch):
